@@ -15,14 +15,29 @@ and the zero-frequency scaling experiment.
 Orbit anchors are encoded as (tile offset into the canonical fixed point,
 time offset inside that tile); window averaging along one orbit stands in
 for invariant-measure sampling, which unique ergodicity justifies.
+
+Exact time.  Tile walks (twisted ergodic integrals, and occupation times
+and the growth cocycle at positive anchors) keep time on one integer
+clock: with D the lcm of the roof denominators, a tile of letter c lasts
+the integer roof[c]*D, tile ends are running integer sums, and a tile end
+T lies within a horizon h exactly when T <= floor(h*D).  The twist phase
+at T is the integer ratio ((p*T) mod (q*D)) / (q*D) for omega = p/q.
+Results convert to Fraction once, at the end, and equal those of a walk
+in Fraction arithmetic: the walk covers the same rationals, and Python's
+int/int true division rounds correctly, as the float of a Fraction does,
+so every float is unchanged too.  The certified generator of the
+eigenvalue field is built once per minimal polynomial and memoised.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import mpmath as mp
@@ -114,6 +129,13 @@ def _fq_theta(min_poly: tuple[int, ...]) -> tuple:
     if d == 1:
         return (Fraction(-min_poly[1], min_poly[0]),)
     return tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(d))
+
+
+@lru_cache(maxsize=64)
+def _field_generator(min_poly: tuple[int, ...]) -> AlgebraicInteger:
+    """The certified dominant root of the minimal polynomial; memoised
+    because ``from_poly`` certifies every conjugate afresh on each call."""
+    return AlgebraicInteger.from_poly(min_poly, 128)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -345,7 +367,7 @@ def self_similar_roof(
     ]
     vec = _field_nullspace(A, min_poly, d)
 
-    ai = AlgebraicInteger.from_poly(min_poly, 128)
+    ai = _field_generator(min_poly)
     width_bits = max(96, precision_bits)
     lo, hi = ai.real_bracket(width_bits)
     vals = [_fq_eval_interval(v, lo, hi) for v in vec]
@@ -555,6 +577,24 @@ def _orbit_letters(flow: SuspensionFlow, anchor: int, span: Fraction, budget: in
     return text[anchor:]
 
 
+def _tile_clock(flow: SuspensionFlow, letters) -> tuple[int, list[int]]:
+    """The integer tile clock of a walk: D, the lcm of the roof
+    denominators, and the end of each tile of ``letters`` measured from the
+    start of the first in units of 1/D, so every tile lasts roof[c]*D."""
+    D = math.lcm(*(s.denominator for s in flow.roof))
+    durs = (0,) + tuple(s.numerator * (D // s.denominator) for s in flow.roof)
+    return D, list(accumulate(map(durs.__getitem__, letters)))
+
+
+def _whole_tiles(D: int, ends: list[int], t: Fraction) -> tuple[int, Fraction]:
+    """Number of leading tiles that end by time t, and the time they reach.
+
+    An integer tile end T satisfies T <= t*D exactly when T <= floor(t*D),
+    so the comparison needs no rational arithmetic."""
+    n = bisect_right(ends, math.floor(t * D))
+    return n, Fraction(ends[n - 1] if n else 0, D)
+
+
 def twisted_ergodic_integral(
     flow: SuspensionFlow,
     x_anchor: int,
@@ -572,7 +612,14 @@ def twisted_ergodic_integral(
     the weighted phase sum of the covered word prefix times the one-tile
     prefactor (e^(2 pi i omega s_a) - 1)/(2 pi i omega); the clipped tail
     tile and the anchor offset are not integrated but covered by the
-    returned correction bound."""
+    returned correction bound.
+
+    Exact time: the walk runs on the integer clock of the module docstring,
+    so tile ends and phases are integer sums and integer ratios, not
+    Fraction sums; only the clipped last tile and an offset u that is not
+    a multiple of 1/D stay Fraction terms.  The phase sum is accumulated
+    tile by tile in orbit order, so the value is the same float as that of
+    a Fraction walk."""
     if not 1 <= a <= flow.zeta.m:
         raise ValueError(f"letter {a} outside alphabet of size {flow.zeta.m}")
     if x_anchor < 0:
@@ -586,21 +633,19 @@ def twisted_ergodic_integral(
     if not 0 <= u < flow.roof[letters[0] - 1]:
         raise ValueError("t_offset must lie inside the anchor tile")
 
+    D, ends = _tile_clock(flow, letters)
+    horizon = RR + u
+    n, reached = _whole_tiles(D, ends, horizon)
     if om == 0:
-        t_cur = -u
-        total = Fraction(0)
-        used = 0
-        for c in letters:
-            dur = flow.roof[c - 1]
-            seg_lo = max(Fraction(0), t_cur)
-            seg_hi = min(RR, t_cur + dur)
-            if seg_hi > seg_lo:
-                used += 1
-                if c == a:
-                    total += seg_hi - seg_lo
-            t_cur += dur
-            if t_cur >= RR:
-                break
+        # the tiles meeting [0, R] are the whole ones plus the one that
+        # straddles the horizon; u cuts the first of them, R the straddler
+        rest = horizon - reached
+        straddle = letters[n] if rest and n < len(letters) else None
+        total = letters[:n].count(a) * flow.roof[a - 1]
+        if straddle == a:
+            total += rest
+        if letters[0] == a:
+            total -= u
         return ErgodicIntegral(
             value=complex(float(total), 0.0),
             correction_bound=0.0,
@@ -609,35 +654,30 @@ def twisted_ergodic_integral(
             R_effective=RR,
             anchor=x_anchor,
             t_offset=u,
-            tiles_used=used,
+            tiles_used=n + (straddle is not None),
         )
 
     s_a = flow.roof[a - 1]
     pref = (cmath.exp(2j * math.pi * float((om * s_a) % 1)) - 1) / (
         2j * math.pi * float(om)
     )
+    # the phase (omega t) mod 1 at a tile end T/D, as a ratio of integers
+    p = om.numerator
+    qD = om.denominator * D
     phase_sum = 0j
-    t_cur = Fraction(0)
-    used = 0
-    horizon = RR + u
-    for c in letters:
-        dur = flow.roof[c - 1]
-        if t_cur + dur > horizon:
-            break
-        t_cur += dur
-        used += 1
+    for c, T in zip(letters, ends[:n]):
         if c == a:
-            phase_sum += cmath.exp(-2j * math.pi * float((om * t_cur) % 1))
+            phase_sum += cmath.exp(-2j * math.pi * ((p * T) % qD / qD))
     value = cmath.exp(2j * math.pi * float((om * u) % 1)) * pref * phase_sum
     return ErgodicIntegral(
         value=value,
-        correction_bound=float(u + (horizon - t_cur)),
+        correction_bound=float(u + (horizon - reached)),
         omega=om,
         R=RR,
-        R_effective=t_cur,
+        R_effective=reached,
         anchor=x_anchor,
         t_offset=u,
-        tiles_used=used,
+        tiles_used=n,
     )
 
 
@@ -685,7 +725,7 @@ def _self_similar_distances(
             base[j] += ab[i] * flow.s_coords[i][j]
     cur = tuple(c * omega for c in base)
     theta_el = _fq_theta(flow.min_poly)
-    ai = AlgebraicInteger.from_poly(flow.min_poly, 128)
+    ai = _field_generator(flow.min_poly)
     width_bits = 96
     lo, hi = ai.real_bracket(width_bits)
     out = []
@@ -833,7 +873,7 @@ def log_holder_certificate(
     if Bf <= 1:
         raise ValueError("B must exceed 1")
     min_poly = flow.min_poly or _theta_min_poly(flow.zeta)
-    ai = AlgebraicInteger.from_poly(min_poly, 128)
+    ai = _field_generator(min_poly)
     cls = classify(ai)
     if cls.kind != "HasConjugateOutside":
         raise WrongClass(
@@ -1102,19 +1142,10 @@ def cocycle_phi2(
         blocks, straddle, remaining = _supertile_blocks(flow, tt)
     else:
         letters = _orbit_letters(flow, x_anchor, tt + flow.max_roof, budget)
-        blocks = []
-        remaining = tt
-        straddle = None
-        for c in letters:
-            dur = flow.roof[c - 1]
-            if dur <= remaining:
-                blocks.append((0, c))
-                remaining -= dur
-                if remaining == 0:
-                    break
-            else:
-                straddle = c
-                break
+        n, reached = _whole_tiles(*_tile_clock(flow, letters), tt)
+        blocks = [(0, c) for c in letters[:n]]
+        remaining = tt - reached
+        straddle = letters[n] if remaining and n < len(letters) else None
 
     total = Fraction(0)
     for level, c in blocks:
@@ -1252,17 +1283,11 @@ def occupation_times(
         return tuple(out)
 
     letters = _orbit_letters(flow, x_anchor, tt + flow.max_roof, budget)
-    remaining = tt
-    for c in letters:
-        dur = flow.roof[c - 1]
-        if dur <= remaining:
-            out[c - 1] += dur
-            remaining -= dur
-            if remaining == 0:
-                break
-        else:
-            out[c - 1] += remaining
-            break
+    n, reached = _whole_tiles(*_tile_clock(flow, letters), tt)
+    whole = letters[:n]
+    out = [whole.count(c) * flow.roof[c - 1] for c in range(1, m + 1)]
+    if reached < tt and n < len(letters):
+        out[letters[n] - 1] += tt - reached  # partial tile
     return tuple(out)
 
 

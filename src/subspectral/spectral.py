@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -745,6 +746,13 @@ def dimension_bound_from_alpha(alpha, theta) -> float:
     return min(2.0, max(0.0, 2 - 2 * math.log(a) / math.log(th)))
 
 
+@lru_cache(maxsize=256)
+def _perron_theta(zeta: Substitution) -> float:
+    """Dominant count-matrix eigenvalue, memoised per substitution: every
+    row of a frequency grid needs it and ``perron_data`` re-certifies it."""
+    return float(perron_data(substitution_matrix(zeta)).theta)
+
+
 def local_dimension_bound(
     zeta: Substitution,
     omega,
@@ -756,8 +764,7 @@ def local_dimension_bound(
     if n_max < 10:
         raise ValueError("n_max must be at least 10")
     om = as_exact(omega)
-    pd = perron_data(substitution_matrix(zeta))
-    theta = float(pd.theta)
+    theta = _perron_theta(zeta)
     if om.denominator == 1:
         # integer twist: the product is exactly the n-th count-matrix power
         return LocalDimensionReport(

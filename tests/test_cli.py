@@ -2,6 +2,8 @@
 and determinism, manifests, and the documented error mapping."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -339,3 +341,44 @@ class TestManifest:
         assert not any("time" in cell for cell in header)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["wall_time_s"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# the README's flow examples, run as written
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flow_examples():
+    """Each `subspectral flow` line of the README with the text of the
+    config file it names: `sub.json` is the README's JSON block, other files
+    are given by a `# name.json: {...}` comment in the command listing."""
+    text = README.read_text(encoding="utf-8")
+    configs = dict(re.findall(r"here `(\S+\.json)`:\n\n```json\n(.*?)\n```", text))
+    configs.update(re.findall(r"^# (\S+\.json): (\{.*\})$", text, re.M))
+    examples = []
+    for line in text.splitlines():
+        if line.startswith("subspectral flow "):
+            args = shlex.split(line)[1:]
+            examples.append((args, configs.get(args[args.index("--config") + 1])))
+    return examples
+
+
+FLOW_EXAMPLES = readme_flow_examples()
+
+
+def test_readme_lists_every_flow_command():
+    assert sorted(args[1] for args, _ in FLOW_EXAMPLES) == [
+        "cocycle", "decomposition", "log-holder", "zero-scaling",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, config", FLOW_EXAMPLES, ids=[args[1] for args, _ in FLOW_EXAMPLES]
+)
+def test_readme_flow_example_runs(args, config, cfg, tmp_path):
+    args = list(args)
+    assert config is not None, "the README does not define this config"
+    args[args.index("--config") + 1] = cfg(config)
+    args[args.index("--out") + 1] = str(tmp_path / "out")
+    assert main(args) == 0

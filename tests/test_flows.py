@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from subspectral.algebraic import AlgebraicInteger
 from subspectral.errors import (
     BudgetExceeded,
     DegenerateF,
@@ -28,6 +29,7 @@ from subspectral.flows import (
     LogHolderTable,
     SuspensionFlow,
     ZeroScalingReport,
+    _field_generator,
     cocycle_phi2,
     eigen2_data,
     ergodic_decomposition_check,
@@ -733,3 +735,260 @@ class TestZeroScaling:
             zero_scaling_experiment(
                 flow_sym, [1, -1], range(3, 5), orbit_factor=1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# the integer tile clock against the Fraction walks it replaced
+#
+# The reference functions below are the tile walks of twisted_ergodic_integral
+# and cocycle_phi2 as they were written in Fraction arithmetic (the one of
+# occupation_times is occupation_oracle above).  The integer clock changes
+# how time is kept, not what is computed, so every output must compare
+# equal, floats included.
+
+
+def _reference_letters(flow, anchor, span):
+    need = int(float(span) / float(flow.min_roof)) + 2
+    return fixed_point_prefix(flow.zeta, anchor + need)[anchor:]
+
+
+def fraction_ergodic_integral(flow, x_anchor, t_offset, a, omega, R):
+    om, RR, u = Fraction(omega), Fraction(R), Fraction(t_offset)
+    letters = _reference_letters(flow, x_anchor, RR + flow.max_roof)
+    if om == 0:
+        t_cur = -u
+        total = Fraction(0)
+        used = 0
+        for c in letters:
+            dur = flow.roof[c - 1]
+            seg_lo = max(Fraction(0), t_cur)
+            seg_hi = min(RR, t_cur + dur)
+            if seg_hi > seg_lo:
+                used += 1
+                if c == a:
+                    total += seg_hi - seg_lo
+            t_cur += dur
+            if t_cur >= RR:
+                break
+        return ErgodicIntegral(
+            value=complex(float(total), 0.0),
+            correction_bound=0.0,
+            omega=om,
+            R=RR,
+            R_effective=RR,
+            anchor=x_anchor,
+            t_offset=u,
+            tiles_used=used,
+        )
+    s_a = flow.roof[a - 1]
+    pref = (cmath.exp(2j * math.pi * float((om * s_a) % 1)) - 1) / (
+        2j * math.pi * float(om)
+    )
+    phase_sum = 0j
+    t_cur = Fraction(0)
+    used = 0
+    horizon = RR + u
+    for c in letters:
+        dur = flow.roof[c - 1]
+        if t_cur + dur > horizon:
+            break
+        t_cur += dur
+        used += 1
+        if c == a:
+            phase_sum += cmath.exp(-2j * math.pi * float((om * t_cur) % 1))
+    value = cmath.exp(2j * math.pi * float((om * u) % 1)) * pref * phase_sum
+    return ErgodicIntegral(
+        value=value,
+        correction_bound=float(u + (horizon - t_cur)),
+        omega=om,
+        R=RR,
+        R_effective=t_cur,
+        anchor=x_anchor,
+        t_offset=u,
+        tiles_used=used,
+    )
+
+
+def fraction_cocycle_phi2(flow, x_anchor, t, k_levels=30):
+    """cocycle_phi2 at a positive anchor and t > 0."""
+    ed = eigen2_data(flow)
+    tt = Fraction(t)
+    e2s = ed.e2_star
+    th2 = ed.theta2
+    letters = _reference_letters(flow, x_anchor, tt + flow.max_roof)
+    blocks = []
+    remaining = tt
+    straddle = None
+    for c in letters:
+        dur = flow.roof[c - 1]
+        if dur <= remaining:
+            blocks.append((0, c))
+            remaining -= dur
+            if remaining == 0:
+                break
+        else:
+            straddle = c
+            break
+    total = Fraction(0)
+    for level, c in blocks:
+        total += th2**level * e2s[c - 1]
+    depth = 0
+    err = Fraction(0)
+    lo, hi = flow.theta_interval
+    exact_lengths = lo == hi
+    c = straddle
+    if c is not None and remaining > 0:
+        scale = Fraction(1)
+        theta_pow = Fraction(1)
+        while depth < k_levels and remaining > 0:
+            depth += 1
+            scale /= th2
+            theta_pow *= lo if exact_lengths else (lo + hi) / 2
+            nxt = None
+            for dletter in flow.zeta.images[c - 1]:
+                dur = flow.roof[dletter - 1] / theta_pow
+                if dur <= remaining:
+                    total += scale * e2s[dletter - 1]
+                    remaining -= dur
+                else:
+                    nxt = dletter
+                    break
+            if nxt is None:
+                break
+            c = nxt
+        if remaining > 0:
+            L = max(len(im) for im in flow.zeta.images)
+            maxe = max(abs(x) for x in e2s)
+            q = 1 / abs(th2)
+            err = maxe * L * abs(scale) * q / (1 - q)
+    exact = remaining == 0 and (exact_lengths or depth == 0)
+    return CocycleEvaluation(
+        x_id=x_anchor,
+        t=tt,
+        k_used=depth,
+        value=float(total),
+        error_bound=float(err),
+        exact=exact,
+        value_exact=total if exact else None,
+    )
+
+
+@pytest.fixture(scope="module")
+def clock_flows(flow_run3, flow_sym):
+    """The 160-bit self-similar roof of the cubed running example, and
+    rational roofs whose denominators differ (so the clock's unit 1/D is
+    finer than every tile)."""
+    return (
+        flow_run3,
+        make_flow(RUNNING, [Fraction(2, 7), Fraction(5, 9)], normalize=False),
+        make_flow(SYMMETRIC, [Fraction(3, 5), Fraction(7, 4)], normalize=False),
+        flow_sym,
+    )
+
+
+def tile_end(flow, anchor, n):
+    """Time from the anchor tile's start to the end of its n-th tile."""
+    text = fixed_point_prefix(flow.zeta, anchor + n)[anchor:]
+    return sum((flow.roof[c - 1] for c in text), Fraction(0))
+
+
+class TestIntegerTileClock:
+    def test_ergodic_integrals_match_fraction_walk(self, clock_flows):
+        rng = random.Random(2718)
+        for flow in clock_flows:
+            for _ in range(40):
+                anchor = rng.randrange(1, 400)
+                first = fixed_point_prefix(flow.zeta, anchor + 1)[anchor]
+                u = rng.choice(
+                    [Fraction(0), flow.roof[first - 1] * Fraction(rng.randrange(1, 97), 97)]
+                )
+                om = rng.choice(
+                    [
+                        Fraction(0),
+                        Fraction(rng.randrange(1, 2**22), 2**20),
+                        Fraction(-rng.randrange(1, 60), rng.randrange(1, 60)),
+                    ]
+                )
+                R = Fraction(rng.randrange(1, 6000), rng.randrange(1, 12))
+                a = rng.randint(1, flow.zeta.m)
+                args = (flow, anchor, u, a, om, R)
+                assert twisted_ergodic_integral(*args) == fraction_ergodic_integral(*args)
+
+    def test_horizon_on_a_tile_boundary(self, clock_flows):
+        # R + u is the end of the n-th tile, so the last whole tile ends
+        # exactly on the horizon of the integer clock
+        for flow in clock_flows:
+            for anchor in (0, 5, 97):
+                first = fixed_point_prefix(flow.zeta, anchor + 1)[anchor]
+                for n in (1, 2, 17, 60):
+                    end = tile_end(flow, anchor, n)
+                    for u in (Fraction(0), flow.roof[first - 1] / 3):
+                        for om in (Fraction(0), Fraction(3, 7), Fraction(-5, 3)):
+                            for a in (1, 2):
+                                args = (flow, anchor, u, a, om, end - u)
+                                ei = twisted_ergodic_integral(*args)
+                                assert ei == fraction_ergodic_integral(*args)
+                                assert ei.tiles_used == n
+                                if om:
+                                    assert ei.R_effective == end
+                                    assert ei.correction_bound == float(u)
+
+    def test_horizon_inside_the_anchor_tile(self, clock_flows):
+        for flow in clock_flows:
+            for anchor in (0, 3, 50):
+                first = fixed_point_prefix(flow.zeta, anchor + 1)[anchor]
+                s = flow.roof[first - 1]
+                for u, R in ((s / 3, s / 4), (Fraction(0), s / 2)):
+                    for om in (Fraction(0), Fraction(3, 7)):
+                        for a in (1, 2):
+                            args = (flow, anchor, u, a, om, R)
+                            ei = twisted_ergodic_integral(*args)
+                            assert ei == fraction_ergodic_integral(*args)
+                            assert ei.tiles_used == (0 if om else 1)
+
+    def test_occupation_times_match_fraction_walk(self, clock_flows):
+        rng = random.Random(1618)
+        for flow in clock_flows:
+            for _ in range(30):
+                anchor = rng.randrange(1, 400)
+                t = rng.choice(
+                    [
+                        Fraction(rng.randrange(1, 9000), rng.randrange(1, 12)),
+                        tile_end(flow, anchor, rng.randrange(1, 200)),
+                    ]
+                )
+                assert occupation_times(flow, t, x_anchor=anchor) == (
+                    occupation_oracle(flow, anchor, t)
+                )
+
+    def test_cocycle_matches_fraction_walk(self, clock_flows):
+        rng = random.Random(1414)
+        for flow in clock_flows[2:]:  # the flows with an integer theta2
+            for _ in range(30):
+                anchor = rng.randrange(1, 400)
+                t = rng.choice(
+                    [
+                        Fraction(rng.randrange(1, 9000), rng.randrange(1, 12)),
+                        tile_end(flow, anchor, rng.randrange(1, 200)),
+                    ]
+                )
+                assert cocycle_phi2(flow, anchor, t) == fraction_cocycle_phi2(
+                    flow, anchor, t
+                )
+
+    def test_product_bound_reuses_field_generator(
+        self, flow_run3, run3_consts, monkeypatch
+    ):
+        args = (flow_run3, "1", Fraction(3, 7), Fraction(9000), run3_consts)
+        _field_generator.cache_clear()
+        cold = flow_product_bound(*args)
+        calls = []
+        from_poly = AlgebraicInteger.from_poly
+
+        def counting(cls, *a, **kw):
+            calls.append(a)
+            return from_poly(*a, **kw)
+
+        monkeypatch.setattr(AlgebraicInteger, "from_poly", classmethod(counting))
+        assert flow_product_bound(*args) == cold
+        assert calls == []

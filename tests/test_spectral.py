@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subspectral.spectral as spectral_module
 from subspectral.errors import (
     NotFound,
     NotInLanguage,
@@ -29,6 +30,7 @@ from subspectral.riesz import phi_direct, phi_recursive, phi_suspension
 from subspectral.spectral import (
     PI_SQUARED_UPPER,
     DiophConstants,
+    _perron_theta,
     birkhoff_sup_bound,
     birkhoff_twisted,
     dimension_bound_from_alpha,
@@ -678,6 +680,19 @@ class TestLocalDimension:
             dimension_bound_from_alpha(0, 2.0)
         with pytest.raises(ValueError):
             dimension_bound_from_alpha(1.5, 1.0)
+
+    def test_theta_memo_leaves_reports_unchanged(self, monkeypatch):
+        _perron_theta.cache_clear()
+        cold = [local_dimension_bound(RUNNING, om, 12) for om in (2, Fraction(3, 10))]
+        calls = []
+        monkeypatch.setattr(
+            spectral_module, "perron_data", lambda *a, **kw: calls.append(a)
+        )
+        warm = [local_dimension_bound(RUNNING, om, 12) for om in (2, Fraction(3, 10))]
+        assert warm == cold
+        assert calls == []
+        pd = perron_data(substitution_matrix(RUNNING))
+        assert cold[0].alpha == float(pd.theta)
 
     def test_validation(self):
         with pytest.raises(ValueError):
