@@ -10,8 +10,26 @@ has-conjugate-outside classification is certified.
 
 Elements of the ring generated by a root are tuples of integer coordinates in
 the power basis; multiplication by the root is the exact companion-matrix
-action, and distances to the nearest integer are certified by exact rational
-interval arithmetic over a bisected root bracket.
+action, and distances to the nearest integer are certified by exact interval
+arithmetic over a bisected root bracket.
+
+Integer kernel.  Bracket endpoints are rationals with one common denominator
+(dyadic ones, since they come from an mpf disk refined by bisection), so an
+enclosure is evaluated on Python integers: both endpoints become integers
+a <= b over a denominator d, and the interval Horner scheme keeps its
+running enclosure as integers L <= H over a scale S that is multiplied by d
+at each step, taking the min and max of the four endpoint products.  No
+``Fraction`` is built inside the loop; callers that only compare or reduce
+the enclosure (the nearest-integer split, the phase tables) work on
+(L, H, S) directly, and ``zt_value_interval`` builds one ``Fraction`` per
+endpoint at return.  The values are exactly those of rational interval
+arithmetic, so every result equals the one computed with ``Fraction``s.
+Bisection is deterministic, so each root's bisection is kept as its path
+(one integer of left/right steps): a bracket of any width already reached
+is read off by a shift, and a narrower one resumes from the narrowest
+bracket reached so far.  Root certification, classification and the
+decay constants depend only on their (immutable) arguments and are
+memoised in bounded caches.
 """
 
 from __future__ import annotations
@@ -20,6 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
+from threading import Lock
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
@@ -242,9 +262,14 @@ def certify_roots(
     always contains at least one root; disjointness of all ``s`` disks then
     certifies exactly one root per disk.  Precision escalates until every
     radius is at most ``2**-precision_bits`` and all disks are disjoint.
-    Raises ``NotSquarefree`` when ``gcd(p, p')`` is nonconstant.
+    Raises ``NotSquarefree`` when ``gcd(p, p')`` is nonconstant.  The disks
+    are memoised per (polynomial, precision_bits).
     """
-    p = _as_int_poly(poly)
+    return _certified_roots(_as_int_poly(poly), int(precision_bits))
+
+
+@lru_cache(maxsize=256)
+def _certified_roots(p: tuple[int, ...], precision_bits: int) -> tuple[RootDisk, ...]:
     if p[0] != 1:
         raise ValueError("polynomial must be monic")
     s = _poly_degree(p)
@@ -454,35 +479,95 @@ class AlgebraicInteger:
     def real_bracket(self, width_bits: int) -> tuple[Fraction, Fraction]:
         """Exact rational bracket of width <= 2**-width_bits around the
         distinguished root (which must be real)."""
-        disk = self.roots[self.root_index]
-        lo, hi = disk.real_interval()
-        return _bisect_bracket(self.poly, lo, hi, width_bits)
+        a, b, d = _root_bisection(self.poly, self.roots[self.root_index]).bracket(
+            width_bits
+        )
+        lo = Fraction(a, d)
+        return (lo, lo) if a == b else (lo, Fraction(b, d))
+
+
+def _poly_sign_scaled(p: Sequence[int], num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0, from the integer p(num/den) * den**deg."""
+    acc = p[0]
+    scale = 1
+    for c in p[1:]:
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+class _RootBisection:
+    """Bisection of one isolating bracket [lo, hi] = [A/d, (A + D)/d] of a
+    root of ``poly``, kept as its path.
+
+    After k steps with path m (a k-bit integer, one bit per step, 1 where the
+    lower end moved up) the bracket is [A 2^k + D m, A 2^k + D (m + 1)] over
+    d 2^k, so the bracket after any j <= k steps is read off ``m >> (k - j)``
+    and a narrower one resumes from step k.  The midpoints are those of
+    plain bisection from [lo, hi], hence so is every bracket.  When a
+    midpoint (or an end) is the root itself, every later bracket is that
+    point."""
+
+    def __init__(self, poly: tuple[int, ...], lo: Fraction, hi: Fraction) -> None:
+        d = _int_lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (d // lo.denominator)
+        self.poly = poly
+        self.a, self.span, self.d = a, hi.numerator * (d // hi.denominator) - a, d
+        # (steps taken, path, step after which the bracket is the exact root
+        # or None, that root's numerator over d 2^step)
+        self._state: tuple[int, int, int | None, int] = (0, 0, None, 0)
+        self._lock = Lock()
+        s_lo = _poly_sign_scaled(poly, a, d)
+        s_hi = _poly_sign_scaled(poly, a + self.span, d)
+        if s_lo == 0:
+            self._state = (0, 0, 0, a)
+        elif s_hi == 0:
+            self._state = (0, 0, 0, a + self.span)
+        elif s_lo == s_hi:
+            raise ArithmeticError("bracket does not straddle the root")
+        self.sign_lo = s_lo
+
+    def _steps_for(self, width_bits: int) -> int:
+        """Fewest halvings j with span / (d 2^j) <= 2^-width_bits."""
+        need = self.span << width_bits
+        j = max(0, need.bit_length() - self.d.bit_length())
+        while j > 0 and (self.d << (j - 1)) >= need:
+            j -= 1
+        while (self.d << j) < need:
+            j += 1
+        return j
+
+    def bracket(self, width_bits: int) -> tuple[int, int, int]:
+        """(a, b, den) with [a/den, b/den] the bracket of width at most
+        2**-width_bits; den > 0."""
+        j = self._steps_for(width_bits)
+        if j > self._state[0] and self._state[2] is None:
+            with self._lock:
+                steps, path, exact_at, _ = self._state
+                if exact_at is None and j > steps:
+                    self._state = self._extend(steps, path, j)
+        steps, path, exact_at, root = self._state
+        if exact_at is not None and j >= exact_at:
+            return root, root, self.d << exact_at
+        lo = (self.a << j) + self.span * (path >> (steps - j))
+        return lo, lo + self.span, self.d << j
+
+    def _extend(self, steps: int, path: int, target: int):
+        poly, a, span, d, sign_lo = self.poly, self.a, self.span, self.d, self.sign_lo
+        while steps < target:
+            num = (a << (steps + 1)) + span * (2 * path + 1)
+            sign = _poly_sign_scaled(poly, num, d << (steps + 1))
+            if sign == 0:
+                return steps, path, steps + 1, num
+            path = 2 * path + (sign == sign_lo)
+            steps += 1
+        return steps, path, None, 0
 
 
 @lru_cache(maxsize=256)
-def _bisect_bracket(
-    poly: tuple[int, ...], lo: Fraction, hi: Fraction, width_bits: int
-) -> tuple[Fraction, Fraction]:
-    plo = _poly_eval_frac(poly, lo)
-    phi = _poly_eval_frac(poly, hi)
-    if plo == 0:
-        return (lo, lo)
-    if phi == 0:
-        return (hi, hi)
-    if (plo > 0) == (phi > 0):
-        raise ArithmeticError("bracket does not straddle the root")
-    sign_lo = plo > 0
-    target = Fraction(1, 2**width_bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        val = _poly_eval_frac(poly, mid)
-        if val == 0:
-            return (mid, mid)
-        if (val > 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+def _root_bisection(poly: tuple[int, ...], disk: RootDisk) -> _RootBisection:
+    lo, hi = disk.real_interval()
+    return _RootBisection(poly, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +623,13 @@ def classify(ai: AlgebraicInteger, cap_bits: int = 2**14) -> Classification:
     circle.  HasConjugateOutside: some other root strictly outside.
     Degenerate: the distinguished root is not a real number > 1.  Raises
     ``PrecisionExhausted`` only when off-circle roots cannot be separated from
-    the circle under the precision cap.
+    the circle under the precision cap.  Memoised per (ai, cap_bits).
     """
+    return _classification(ai, cap_bits)
+
+
+@lru_cache(maxsize=256)
+def _classification(ai: AlgebraicInteger, cap_bits: int) -> Classification:
     statuses, disks = _root_statuses(ai, cap_bits)
     dom = disks[ai.root_index]
     dom_ok = dom.is_real
@@ -552,14 +642,15 @@ def classify(ai: AlgebraicInteger, cap_bits: int = 2**14) -> Classification:
                 # the bracket holds exactly one root, so that root is 1 itself
                 dom_ok = False
             else:
+                bisection = _root_bisection(ai.poly, dom)
                 width = 64
                 while True:
-                    refined = _bisect_bracket(ai.poly, lo2, hi2, width)
-                    if refined[0] > 1:
+                    a, b, d = bisection.bracket(width)
+                    if a > d:
                         dom_ok = True
                         break
-                    if refined[1] < 1 or refined[0] == refined[1]:
-                        dom_ok = refined[0] > 1
+                    if b < d or a == b:
+                        dom_ok = a > d
                         break
                     width *= 2
                     if width > PRECISION_CAP_BITS:
@@ -607,9 +698,7 @@ def zt_mul_theta(
     x: ZThetaElement, poly: "Sequence[int] | AlgebraicInteger"
 ) -> ZThetaElement:
     """Exact coordinates of theta * x via the companion-matrix action."""
-    if isinstance(poly, AlgebraicInteger):
-        poly = poly.poly
-    p = _as_int_poly(poly)
+    p = poly.poly if isinstance(poly, AlgebraicInteger) else _as_int_poly(poly)
     s = _poly_degree(p)
     coords = x.coords
     if len(coords) != s:
@@ -623,25 +712,35 @@ def zt_mul_theta(
     return ZThetaElement(tuple(new))
 
 
-def _interval_add(a, b, c, d):
-    return (a + c, b + d)
+def _scaled_bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, d) with lo = a/d, hi = b/d and d > 0 the least common
+    denominator."""
+    d = _int_lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
-def _interval_mul(a, b, c, d):
-    vals = (a * c, a * d, b * c, b * d)
-    return (min(vals), max(vals))
+def _zt_scaled(
+    coords: Sequence[int], a: int, b: int, d: int
+) -> tuple[int, int, int]:
+    """Integers L <= H and S > 0 with [L/S, H/S] the interval Horner
+    enclosure of sum coords[i] x^i over x in [a/d, b/d] (a <= b, d > 0)."""
+    L = H = coords[-1]
+    S = 1
+    for c in reversed(coords[:-1]):
+        p1, p2, p3, p4 = L * a, L * b, H * a, H * b
+        S *= d
+        c *= S
+        L = min(p1, p2, p3, p4) + c
+        H = max(p1, p2, p3, p4) + c
+    return L, H, S
 
 
 def zt_value_interval(
     x: ZThetaElement, ai: AlgebraicInteger, width_bits: int
 ) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of the real value of ``x`` at the root."""
-    lo, hi = ai.real_bracket(width_bits)
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(x.coords):
-        acc = _interval_mul(acc[0], acc[1], lo, hi)
-        acc = _interval_add(acc[0], acc[1], Fraction(c), Fraction(c))
-    return acc
+    L, H, S = _zt_scaled(x.coords, *_scaled_bracket(*ai.real_bracket(width_bits)))
+    return Fraction(L, S), Fraction(H, S)
 
 
 class CertifiedDistance(NamedTuple):
@@ -784,7 +883,12 @@ def prop_alg_constants(
     delta1 = 1/(1 + s*H) exactly; beta = 1 + ceil(s log theta / log|theta_2|)
     with theta_2 the largest-modulus conjugate strictly outside the unit
     circle; alpha = delta1^2 / log(beta).  Raises ``WrongClass`` unless the
-    classification is HasConjugateOutside."""
+    classification is HasConjugateOutside.  Memoised per (ai, cap_bits)."""
+    return _decay_constants(ai, cap_bits)
+
+
+@lru_cache(maxsize=256)
+def _decay_constants(ai: AlgebraicInteger, cap_bits: int) -> PropAlgConstants:
     cls = classify(ai, cap_bits)
     if cls.kind != "HasConjugateOutside":
         raise WrongClass(

@@ -34,7 +34,8 @@ from .algebraic import (
     classify,
     prop_alg_constants,
     zt_mul_theta,
-    zt_value_interval,
+    _scaled_bracket,
+    _zt_scaled,
 )
 from .errors import PrecisionExhausted, TailNotConverged, WrongClass
 
@@ -225,7 +226,13 @@ def _certified_phase_table(
 ) -> list[tuple[Fraction, Fraction]]:
     """For k = 0..count-1: the fractional part of theta^k u and the distance
     of 2 theta^k u to the nearest integer, from exact Z[theta] coordinates
-    evaluated on a bracket whose width scales with k."""
+    evaluated on a bracket whose width scales with k.
+
+    The enclosure of theta^k is the integer interval [L, H] / S of the
+    ``algebraic`` kernel, so the midpoint of its image under u is
+    M / (2 S u.den) with M = (L + H) u.num: its fractional part is
+    (M mod 2 S u.den) / (2 S u.den) and that of twice the midpoint is
+    (M mod S u.den) / (S u.den), exactly as in rational arithmetic."""
     if u == 0:
         return [(Fraction(0), Fraction(0))] * count
     log2_theta = max(1, math.ceil(math.log2(float(ai.theta)) + 1e-9))
@@ -233,15 +240,22 @@ def _certified_phase_table(
     out: list[tuple[Fraction, Fraction]] = []
     for k in range(count):
         bits = extra_bits + log2_theta * (k + 1)
-        lo, hi = zt_value_interval(el, ai, bits)
-        a, b = lo * u, hi * u
-        mid = (a + b) / 2
-        q = mid - math.floor(mid)
-        frac2 = 2 * mid - math.floor(2 * mid)
-        d2 = min(frac2, 1 - frac2)
-        out.append((q, d2))
+        L, H, S = _zt_scaled(el.coords, *_scaled_bracket(*ai.real_bracket(bits)))
+        out.append(_midpoint_phases(L, H, S, u))
         el = zt_mul_theta(el, ai)
     return out
+
+
+def _midpoint_phases(L: int, H: int, S: int, u: Fraction) -> tuple[Fraction, Fraction]:
+    """Fractional part of the midpoint m of u [L/S, H/S] (S > 0), and the
+    distance of 2m to the nearest integer."""
+    M = (L + H) * u.numerator
+    den2 = S * u.denominator
+    r2 = M % den2
+    return (
+        Fraction(M % (2 * den2), 2 * den2),
+        Fraction(min(r2, den2 - r2), den2),
+    )
 
 
 def _small_phase_product(lam_mid: float, u: float, one_minus_2p: float,

@@ -17,6 +17,7 @@ prediction, and frequency counting for ||omega * sum a_j theta_j^n||.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -31,6 +32,8 @@ from .algebraic import (
     zt_mul_theta,
     zt_value_interval,
     _poly_degree,
+    _scaled_bracket,
+    _zt_scaled,
 )
 from .errors import (
     HalfIntegerAmbiguity,
@@ -111,6 +114,22 @@ def _normalize_t(ai: AlgebraicInteger, t) -> tuple[ZThetaElement, int]:
     raise TypeError(f"cannot interpret {type(t).__name__} as t")
 
 
+def _certified_split(
+    L: int, H: int, qS: int, err: Fraction
+) -> tuple[int, Fraction] | None:
+    """(k, eps) with k the nearest integer (ties up) to the midpoint of
+    [L/qS, H/qS] and eps the midpoint minus k, when every point of that
+    interval rounds to k and its width is at most 2 err; None otherwise.
+    qS > 0 and L <= H."""
+    two_qS = 2 * qS
+    if (2 * L + qS) // two_qS != (2 * H + qS) // two_qS:
+        return None
+    if (H - L) * err.denominator > 2 * err.numerator * qS:
+        return None
+    k = (L + H + qS) // two_qS
+    return k, Fraction(L + H - k * two_qS, two_qS)
+
+
 def pisot_sequence(
     ai: AlgebraicInteger,
     t,
@@ -121,7 +140,19 @@ def pisot_sequence(
 
     Ties (value exactly in Z + 1/2) round up, giving eps = -1/2; they can
     only occur when the value is rational, which the exact representation
-    detects outright."""
+    detects outright.
+
+    Integer kernel: the root bracket of each width is fetched once per call
+    and put over one denominator; each term's enclosure of t*theta^k is then
+    the integer interval [L, H] / (q S) from the scaled Horner scheme of
+    ``algebraic``.  The nearest integer is ``(L + H + qS) // (2qS)``; the
+    split is certified when ``(2L + qS) // (2qS) == (2H + qS) // (2qS)``
+    (the whole enclosure rounds to one integer) and
+    ``(H - L) * err.denominator <= 2 * err.numerator * q * S`` (its width is
+    at most 2 err), and then ``eps = (L + H - 2kqS) / (2qS)``, the midpoint
+    minus k.  These are the rational tests and values exactly, on integers;
+    a term whose enclosure fails either test is retried at twice the
+    width."""
     if not 1 <= N <= MAX_SEQUENCE_LENGTH:
         raise ValueError(f"N must be in [1, {MAX_SEQUENCE_LENGTH}]")
     err = Fraction(err)
@@ -129,7 +160,6 @@ def pisot_sequence(
         raise ValueError("err must be positive")
     x0, q = _normalize_t(ai, t)
     s = ai.degree
-    half = Fraction(1, 2)
 
     coords = [x0]
     for _ in range(N - 1):
@@ -141,37 +171,32 @@ def pisot_sequence(
     err_bits = max(8, (err.denominator // max(err.numerator, 1)).bit_length())
     width = s * maxbit + q.bit_length() + err_bits + 64
 
+    brackets: dict[int, tuple[int, int, int]] = {}
     K_list: list[int] = []
     eps_list: list[Fraction] = []
     eps_num_list: list[ZThetaElement] = []
     for x in coords:
+        c0 = x.coords[0]
         if all(c == 0 for c in x.coords[1:]):
-            # exact rational value: decide with no interval at all
-            val = Fraction(x.coords[0], q)
-            k = math.floor(val + half)  # round half up
-            e = val - k
+            # exact rational value c0/q: decide with no interval at all
+            k = (2 * c0 + q) // (2 * q)  # round half up
             K_list.append(k)
-            eps_list.append(e)
-            eps_num_list.append(
-                ZThetaElement((x.coords[0] - k * q,) + (0,) * (s - 1))
-            )
+            eps_list.append(Fraction(c0 - k * q, q))
+            eps_num_list.append(ZThetaElement((c0 - k * q,) + (0,) * (s - 1)))
             continue
         w = width
         while True:
-            lo, hi = zt_value_interval(x, ai, w)
-            lo, hi = lo / q, hi / q
-            k = math.floor((lo + hi) / 2 + half)
-            # certified when the whole interval rounds to the same integer
-            if math.floor(lo + half) == math.floor(hi + half) and (
-                hi - lo
-            ) <= 2 * err:
-                mid = (lo + hi) / 2 - k
+            bracket = brackets.get(w)
+            if bracket is None:
+                bracket = brackets[w] = _scaled_bracket(*ai.real_bracket(w))
+            L, H, S = _zt_scaled(x.coords, *bracket)
+            split = _certified_split(L, H, q * S, err)
+            if split is not None:
+                k, e = split
                 K_list.append(k)
-                eps_list.append(mid)
+                eps_list.append(e)
                 eps_num_list.append(
-                    ZThetaElement(
-                        (x.coords[0] - k * q,) + tuple(x.coords[1:])
-                    )
+                    ZThetaElement((c0 - k * q,) + tuple(x.coords[1:]))
                 )
                 break
             w *= 2
@@ -213,6 +238,33 @@ class WindowEscapeReport:
     hypothesis_violated: bool
 
 
+def _window_maxima(
+    values: Sequence[Fraction], beta: int, k_max: int
+) -> list[tuple[Fraction, int]]:
+    """(maximum, first index attaining it) of values[k : k*beta] for
+    k = 1 .. k_max, in one pass.
+
+    Both window ends only move right, so a deque of indices whose values do
+    not increase from front to back holds every candidate: an index leaves
+    at the back when a strictly larger value arrives (equal ones stay, which
+    keeps the first maximum in front) and at the front when the window
+    passes it."""
+    candidates: deque[int] = deque()
+    out = []
+    right = 1
+    for k in range(1, k_max + 1):
+        while right < k * beta:
+            v = values[right]
+            while candidates and values[candidates[-1]] < v:
+                candidates.pop()
+            candidates.append(right)
+            right += 1
+        while candidates[0] < k:
+            candidates.popleft()
+        out.append((values[candidates[0]], candidates[0]))
+    return out
+
+
 def window_escape_check(
     ai: AlgebraicInteger,
     t,
@@ -250,30 +302,23 @@ def window_escape_check(
     err = Fraction(1, 2**60)
     while True:
         seq = pisot_sequence(ai, t, need, err=err)
-
-        def window(k: int) -> tuple[bool | None, Fraction, int]:
-            best = Fraction(0)
-            arg = k
-            for i in range(k, k * beta):
-                a = abs(seq.eps[i])
-                if a > best:
-                    best, arg = a, i
+        abs_eps = [abs(e) for e in seq.eps]
+        # k -> (passed, or None when pinned at delta1 for this err; the
+        # window maximum; the first index attaining it)
+        all_verdicts: dict[int, tuple[bool | None, Fraction, int]] = {}
+        for k, (best, arg) in enumerate(_window_maxima(abs_eps, beta, k_max), 1):
             if best - err >= delta1:
-                return True, best, arg
-            if best + err < delta1:
-                return False, best, arg
-            return None, best, arg  # pinned at delta1 for this err
-
-        undecided = any(
-            window(k)[0] is None for k in range(1, k_max + 1)
-        )
-        if not undecided:
+                all_verdicts[k] = (True, best, arg)
+            elif best + err < delta1:
+                all_verdicts[k] = (False, best, arg)
+            else:
+                all_verdicts[k] = (None, best, arg)
+        if all(v[0] is not None for v in all_verdicts.values()):
             break
         err /= 2**20
         if err < Fraction(1, 2**PRECISION_CAP_BITS):
             raise PrecisionExhausted("window decision pinned at delta1")
 
-    all_verdicts = {k: window(k) for k in range(1, k_max + 1)}
     empirical = k0 is None
     if empirical:
         failing = [k for k, v in all_verdicts.items() if v[0] is False]
