@@ -60,6 +60,7 @@ from .flows import (
     self_similar_roof,
     zero_scaling_experiment,
 )
+from .riesz import DEFAULT_PRECISION_BITS
 from .spectral import (
     dioph_constants,
     dioph_product_bound,
@@ -334,6 +335,9 @@ def cmd_spectral(args) -> int:
     consts = dioph_constants(zp, rw.v, k_max=args.k_max)
     theta_n = max(1, round(float(consts.theta) ** n))
     r = Fraction(1, 2 * theta_n)
+    bits = args.precision_bits = args.precision_bits or DEFAULT_PRECISION_BITS
+    if bits < 2:
+        raise ConfigError("precision bits must be at least 2")
 
     def one(om: Fraction):
         try:
@@ -343,7 +347,9 @@ def cmd_spectral(args) -> int:
             with _NUMERIC_LOCK:
                 dp = dioph_product_bound(zp, rw.v, om, n, consts)
                 sb = spectral_ball_bound(zp, om, r, consts)
-                ld = local_dimension_bound(zeta, om, n_max=max(10, 4 * n))
+                ld = local_dimension_bound(
+                    zeta, om, n_max=max(10, 4 * n), precision_bits=bits
+                )
             bound_max = max(dp.per_letter)
             return (
                 om,
@@ -685,7 +691,13 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
         "independent of this value (the numeric kernel serializes on a "
         "process-wide lock)",
     )
-    parser.add_argument("--precision-bits", type=int, default=None)
+    parser.add_argument(
+        "--precision-bits",
+        type=int,
+        default=None,
+        help="working precision in bits; for spectral, the transfer products "
+        "run at scale 2^-P (default 106)",
+    )
     parser.add_argument("--seed", type=int, default=0,
                         help="window jitter only")
     parser.add_argument("--diagnostic", action="store_true")

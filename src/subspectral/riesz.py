@@ -6,18 +6,38 @@ phase ``e^(-2 pi i omega j)`` per occurrence of a chosen letter at position
 levels, so quantities attached to words of astronomical length remain
 computable without ever expanding the words.
 
-Numerical policy: every phase is the product of the frequency with an exact
-big-integer (or exact rational, for weighted/suspension variants) cumulative
-length, reduced mod 1 in exact rational arithmetic *before* any
-floating-point rounding.  Matrix products then accumulate at a configurable
-working precision (default 106 bits) with per-step norm logging.
+Numerical policy: transfer matrices and their products are computed on
+Python integers.  A complex value z is held as an integer pair (x, y) with
+z ~ (x + i y) 2^-P, where P is ``precision_bits`` (default 106).  Every
+phase is the frequency times an exact integer (or, with a roof, an exact
+rational over the roof's common denominator) cumulative length, reduced
+mod 1 on integers *before* any rounding; its cosine and sine are evaluated
+once at P + 16 bits and each part is rounded once to the nearest multiple
+of 2^-P.  A product step multiplies integer pairs exactly and rounds each
+entry once; a logged norm is the max row sum of ``isqrt(x^2 + y^2)``,
+converted once to a correctly rounded float.  The kernel reads no global
+precision state, so concurrent threads get identical results.
+
+Each logged norm carries an explicit error bound (``norm_errors``).  A phase
+is off by at most one unit 2^-P in modulus, so the level-k matrix is off by
+at most S^T units entrywise (S the count matrix), and |M_k| <= S^T for the
+exact matrices.  Writing E_n for the entrywise error of the depth-n product
+in units, one product step gives
+
+    E_n <= S^T E_(n-1) + ceil(S^T E_(n-1) / 2^P) + (S^T)^n + 1,    E_1 = S^T,
+
+which depends on the substitution, the depth and P only, and is propagated
+in integers.  The norm's bound adds one unit per entry of a row (the floor
+of ``isqrt``) and one ulp of the returned float.  Values handed out as
+``mpc`` (``TransferMatrix.entries``, ``TwistedProduct.matrix`` and the
+``phi_*`` results) are the exact dyadic values of the integer pairs.
 
 Transfer matrices and prefix products (with their logged norms) are memoised
 per substitution, level or depth, exact rational frequency, roof and
-precision in bounded LRU caches, so sweeps that revisit a frequency build
-each factor and each prefix once.  A memoised result is bit-identical to a
-freshly computed one: the cache keys are exact, and every product is formed
-in the same multiplication order at the same working precision.
+precision in bounded LRU caches that hold integers only, so sweeps that
+revisit a frequency build each factor and each prefix once.  A memoised
+result is identical to a freshly computed one: the keys are exact and the
+arithmetic is exact up to the counted roundings.
 """
 
 from __future__ import annotations
@@ -31,6 +51,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import BudgetExceeded
 from .substitution import (
@@ -43,6 +64,8 @@ from .substitution import (
 )
 
 DEFAULT_PRECISION_BITS = 106  # double-double equivalent
+_GUARD_BITS = 16  # extra bits for each cosine and sine before rounding to 2^-P
+_STRIDE = 64  # a cold prefix lookup recurses at most this many depths
 
 
 # ---------------------------------------------------------------------------
@@ -71,16 +94,44 @@ def as_exact(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-def _phase_unit(phase: Fraction) -> "mp.mpc":
-    """e^(-2 pi i phase) for phase already reduced to [0, 1)."""
-    if phase == 0:
-        return mp.mpc(1)
-    x = mp.mpf(phase.numerator) / phase.denominator
-    return mp.expjpi(-2 * x)
+def _phase(r: int, q: int, bits: int) -> tuple[int, int]:
+    """e^(-2 pi i r/q) for 0 <= r < q as an integer pair at scale 2^-bits,
+    each part within half a unit (plus 2^-10 of evaluation error)."""
+    if r == 0:
+        return 1 << bits, 0
+    wp = bits + _GUARD_BITS
+    # cos and sin of pi x for x = 2r/q, floored at scale 2^-wp
+    x = libmp.from_man_exp((r << (wp + 1)) // q, -wp)
+    c, s = libmp.mpf_cos_sin_pi(x, wp)
+    # a floor at scale 2^-(bits+1), then halving up: round to nearest
+    x = (libmp.to_fixed(c, bits + 1) + 1) >> 1
+    y = (libmp.to_fixed(s, bits + 1) + 1) >> 1
+    return x, -y
+
+
+def _to_float(units: int, bits: int) -> float:
+    """units * 2^-bits, correctly rounded; inf beyond the float range."""
+    try:
+        return units / (1 << bits)
+    except OverflowError:
+        return math.inf
+
+
+def _to_mpc(z: tuple[int, int], bits: int) -> "mp.mpc":
+    """The exact dyadic value of an integer pair at scale 2^-bits."""
+    return mp.make_mpc(
+        (libmp.from_man_exp(z[0], -bits), libmp.from_man_exp(z[1], -bits))
+    )
+
+
+def _mpc_matrix(A, bits: int) -> tuple[tuple["mp.mpc", ...], ...]:
+    return tuple(tuple(_to_mpc(z, bits) for z in row) for row in A)
 
 
 def _unit(omega: Fraction, length: Fraction | int) -> "mp.mpc":
-    return _phase_unit((omega * length) % 1)
+    """e^(-2 pi i omega length) at the working precision."""
+    ph = (omega * length) % 1
+    return _to_mpc(_phase(ph.numerator, ph.denominator, mp.mp.prec), mp.mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +168,9 @@ class TwistedProduct:
     Column ``a-1`` of ``matrix`` holds the twisted sums of the level-``n``
     images: ``matrix[b-1][a-1]`` equals the twisted sum counting letter ``a``
     over the ``n``-fold image of letter ``b`` (for ``k = 0``).
-    ``per_step_norms`` logs the max-row-sum norm after each factor.
+    ``per_step_norms`` logs the max-row-sum norm after each factor, and
+    ``norm_errors[j]`` bounds the distance of ``per_step_norms[j]`` from the
+    norm of the exact product (see the module's numerical policy).
     """
 
     n: int
@@ -125,6 +178,7 @@ class TwistedProduct:
     omega: Fraction
     matrix: tuple[tuple["mp.mpc", ...], ...]
     per_step_norms: tuple[float, ...]
+    norm_errors: tuple[float, ...]
     roof: tuple[Fraction, ...] | None
     precision_bits: int
 
@@ -134,31 +188,42 @@ class TwistedProduct:
 
 
 # ---------------------------------------------------------------------------
-# complex matrix helpers (tuples of mpc rows)
+# integer kernel: matrices of (x, y) pairs at scale 2^-bits
 
 
-def _cmat_identity(m: int) -> tuple[tuple["mp.mpc", ...], ...]:
-    return tuple(
-        tuple(mp.mpc(1) if i == j else mp.mpc(0) for j in range(m))
-        for i in range(m)
+def _mul(A, B, bits: int):
+    """A times B, each entry summed exactly and rounded once to nearest."""
+    half = 1 << (bits - 1)
+    cols = tuple(zip(*B))
+    out = []
+    for row in A:
+        new = []
+        for col in cols:
+            re = im = 0
+            for (a, b), (c, d) in zip(row, col):
+                re += a * c - b * d
+                im += a * d + b * c
+            new.append(((re + half) >> bits, (im + half) >> bits))
+        out.append(tuple(new))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _error_units(zeta: Substitution, n: int, bits: int):
+    """Entrywise bound E_n, in units 2^-bits, on the error of a depth-n
+    product (any shift, frequency or roof), and (S^T)^n; the recursion of
+    the numerical policy."""
+    St = tuple(zip(*_matrix_power(zeta, 1)))
+    if n == 1:
+        return St, St
+    E, T = _error_units(zeta, n - 1, bits)
+    T = _mat_mul(St, T)
+    up = (1 << bits) - 1
+    E = tuple(
+        tuple(f + ((f + up) >> bits) + t + 1 for f, t in zip(f_row, t_row))
+        for f_row, t_row in zip(_mat_mul(St, E), T)
     )
-
-
-def _cmat_mul(A, B):
-    m = len(A)
-    return tuple(
-        tuple(
-            mp.fsum(
-                (A[i][t] * B[t][j] for t in range(m)),
-            )
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-
-
-def _cnorm_inf(A) -> float:
-    return max(float(sum(abs(x) for x in row)) for row in A)
+    return E, T
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +266,25 @@ def tiling_lengths_at(
 @lru_cache(maxsize=4096)
 def _level_structure(
     zeta: Substitution, n: int, roof: tuple[Fraction, ...] | None
-) -> tuple[tuple[tuple[int, Fraction | int], ...], ...]:
-    """Per letter b: tuple of (c, cumulative length of the image prefix
-    strictly before this occurrence), with lengths at level n."""
+) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """A common denominator D of the level-n lengths (1 without a roof) and,
+    per letter b, a tuple of (c, D times the cumulative length of the image
+    prefix strictly before this occurrence)."""
     if roof is None:
-        lens: Sequence[Fraction | int] = lengths_at(zeta, n)
+        den = 1
+        lens: Sequence[int] = lengths_at(zeta, n)
     else:
-        lens = tiling_lengths_at(zeta, n, roof)
+        den = math.lcm(*(r.denominator for r in roof))
+        lens = [int(x * den) for x in tiling_lengths_at(zeta, n, roof)]
     out = []
     for b in range(1, zeta.m + 1):
-        cum: Fraction | int = 0 if roof is None else Fraction(0)
+        cum = 0
         occ = []
         for c in zeta.image(b):
             occ.append((c, cum))
-            cum = cum + lens[c - 1]
+            cum += lens[c - 1]
         out.append(tuple(occ))
-    return tuple(out)
+    return den, tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +374,14 @@ def transfer_matrix(
         raise ValueError("level must be nonnegative")
     om = as_exact(omega)
     rf = None if roof is None else _validate_roof(zeta, roof)
-    return _transfer_matrix(zeta, n, om, rf, precision_bits)
+    M = _transfer_matrix(zeta, n, om, rf, precision_bits)
+    return TransferMatrix(
+        n=n,
+        omega=om,
+        entries=_mpc_matrix(M, precision_bits),
+        roof=rf,
+        precision_bits=precision_bits,
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -316,19 +391,19 @@ def _transfer_matrix(
     om: Fraction,
     rf: tuple[Fraction, ...] | None,
     precision_bits: int,
-) -> TransferMatrix:
-    structure = _level_structure(zeta, n, rf)
-    m = zeta.m
-    with mp.workprec(precision_bits):
-        rows = []
-        for b in range(m):
-            acc: list["mp.mpc"] = [mp.mpc(0)] * m
-            for c, cum in structure[b]:
-                acc[c - 1] = acc[c - 1] + _unit(om, cum)
-            rows.append(tuple(acc))
-    return TransferMatrix(
-        n=n, omega=om, entries=tuple(rows), roof=rf, precision_bits=precision_bits
-    )
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    den, structure = _level_structure(zeta, n, rf)
+    p, q = om.numerator, om.denominator * den
+    rows = []
+    for occ in structure:
+        re = [0] * zeta.m
+        im = [0] * zeta.m
+        for c, cum in occ:
+            x, y = _phase(p * cum % q, q, precision_bits)
+            re[c - 1] += x
+            im[c - 1] += y
+        rows.append(tuple(zip(re, im)))
+    return tuple(rows)
 
 
 def shifted_product(
@@ -348,16 +423,19 @@ def shifted_product(
     om = as_exact(omega)
     rf = None if roof is None else _validate_roof(zeta, roof)
     norms = []
+    errors = []
     # shallowest depth first, so that each cache miss recurses one level only
     for depth in range(1, n + 1):
-        A, norm = _prefix_product(zeta, k, depth, om, rf, precision_bits)
+        A, norm, err = _prefix_product(zeta, k, depth, om, rf, precision_bits)
         norms.append(norm)
+        errors.append(err)
     return TwistedProduct(
         n=n,
         k=k,
         omega=om,
-        matrix=A,
+        matrix=_mpc_matrix(A, precision_bits),
         per_step_norms=tuple(norms),
+        norm_errors=tuple(errors),
         roof=rf,
         precision_bits=precision_bits,
     )
@@ -371,17 +449,35 @@ def _prefix_product(
     om: Fraction,
     rf: tuple[Fraction, ...] | None,
     precision_bits: int,
-) -> tuple[tuple[tuple["mp.mpc", ...], ...], float]:
-    """Depth-``n`` product for levels k .. k+n-1 and its max-row-sum norm,
-    one factor on top of the memoised depth-``n-1`` product."""
-    top = _transfer_matrix(zeta, k + n - 1, om, rf, precision_bits).entries
-    with mp.workprec(precision_bits):
-        if n == 1:
-            A = top
-        else:
-            prev, _ = _prefix_product(zeta, k, n - 1, om, rf, precision_bits)
-            A = _cmat_mul(top, prev)
-        return A, _cnorm_inf(A)
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], float, float]:
+    """Depth-``n`` product for levels k .. k+n-1, its max-row-sum norm and
+    the norm's error bound, one factor on top of the memoised depth-``n-1``
+    product."""
+    A = _transfer_matrix(zeta, k + n - 1, om, rf, precision_bits)
+    if n > 1:
+        prev = _prefix_product(zeta, k, n - 1, om, rf, precision_bits)[0]
+        A = _mul(A, prev, precision_bits)
+    units = max(sum(math.isqrt(x * x + y * y) for x, y in row) for row in A)
+    norm = _to_float(units, precision_bits)
+    slack = max(map(sum, _error_units(zeta, n, precision_bits)[0])) + zeta.m
+    err = math.nextafter(_to_float(slack, precision_bits), math.inf) + math.ulp(norm)
+    return A, norm, math.nextafter(err, math.inf)
+
+
+def _product_entry(
+    zeta: Substitution,
+    n: int,
+    om: Fraction,
+    rf: tuple[Fraction, ...] | None,
+    precision_bits: int,
+    b: int,
+    a: int,
+) -> tuple[int, int]:
+    """Entry (b, a) of the depth-``n`` product as an integer pair, read
+    from the memo; a cold miss is filled in strides of ``_STRIDE`` depths."""
+    for depth in range(1 + (n - 1) % _STRIDE, n + 1, _STRIDE):
+        A = _prefix_product(zeta, 0, depth, om, rf, precision_bits)[0]
+    return A[b - 1][a - 1]
 
 
 def riesz_product(
@@ -396,29 +492,6 @@ def riesz_product(
     Column ``a-1`` collects the twisted sums of every letter's ``n``-fold
     image with respect to letter ``a``."""
     return shifted_product(zeta, 0, n, omega, roof, precision_bits)
-
-
-def riesz_product_chain(
-    zeta: Substitution,
-    n: int,
-    omega,
-    roof: Sequence | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> tuple[tuple[tuple["mp.mpc", ...], ...], ...]:
-    """All prefix products at once: element j is the product for depth j
-    (element 0 is the identity).  One pass instead of n separate products."""
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    om = as_exact(omega)
-    rf = None if roof is None else _validate_roof(zeta, roof)
-    with mp.workprec(precision_bits):
-        chain = [_cmat_identity(zeta.m)]
-        A = chain[0]
-        for level in range(n):
-            Mk = transfer_matrix(zeta, level, om, rf, precision_bits).entries
-            A = _cmat_mul(Mk, A)
-            chain.append(A)
-    return tuple(chain)
 
 
 def phi_recursive(
@@ -438,8 +511,8 @@ def phi_recursive(
         raise ValueError("level must be nonnegative")
     if n == 0:
         return mp.mpc(1 if a == b else 0)
-    prod = riesz_product(zeta, n, omega, None, precision_bits)
-    return prod.matrix[b - 1][a - 1]
+    z = _product_entry(zeta, n, as_exact(omega), None, precision_bits, b, a)
+    return _to_mpc(z, precision_bits)
 
 
 def phi_suspension(
@@ -465,12 +538,12 @@ def phi_suspension(
         raise ValueError("level must be nonnegative")
     rf = _validate_roof(zeta, roof)
     om = as_exact(omega)
-    with mp.workprec(precision_bits):
-        head = _unit(om, rf[a - 1])
-        if n == 0:
-            return head * (1 if a == b else 0)
-        prod = riesz_product(zeta, n, om, rf, precision_bits)
-        return head * prod.matrix[b - 1][a - 1]
+    ph = om * rf[a - 1] % 1
+    head = _phase(ph.numerator, ph.denominator, precision_bits)
+    if n == 0:
+        return _to_mpc(head if a == b else (0, 0), precision_bits)
+    z = _product_entry(zeta, n, om, rf, precision_bits, b, a)
+    return _to_mpc(_mul(((head,),), ((z,),), precision_bits)[0][0], precision_bits)
 
 
 def phi_of_level_word(
@@ -545,7 +618,7 @@ def riesz_density(
     m = zeta.m
     with mp.workprec(precision_bits):
         if n == 0:
-            P = _cmat_identity(m)
+            P = tuple(tuple(mp.mpc(int(i == j)) for j in range(m)) for i in range(m))
         else:
             P = riesz_product(zeta, n, om, None, precision_bits).matrix
         theta = +pd.theta

@@ -37,10 +37,9 @@ from .errors import (
 )
 from .riesz import (
     DEFAULT_PRECISION_BITS,
-    _cnorm_inf,
     _unit,
     as_exact,
-    riesz_product_chain,
+    shifted_product,
     tiling_lengths_at,
 )
 from .substitution import (
@@ -723,13 +722,16 @@ class LocalDimensionReport:
     last quarter of depths; ``lower_bound`` = clip(2 - 2 log_theta alpha)
     bounds the lower local dimension of the diagonal spectral measures.  At
     integer omega the product is the n-th power of the count matrix, the
-    rate equals theta exactly, and the bound is exactly 0."""
+    rate equals theta exactly, and the bound is exactly 0.  ``norms`` are
+    the product norms at depths 1 .. n_max and ``norm_errors`` bound their
+    distance from the norms of the exact products."""
 
     omega: Fraction
     n_max: int
     alpha: float
     lower_bound: float
     norms: tuple[float, ...]
+    norm_errors: tuple[float, ...]
     tail_start: int
     exact_peak: bool
 
@@ -773,12 +775,12 @@ def local_dimension_bound(
             alpha=theta,
             lower_bound=0.0,
             norms=(),
+            norm_errors=(),
             tail_start=0,
             exact_peak=True,
         )
-    rf = None if roof is None else tuple(as_exact(s) for s in roof)
-    chain = riesz_product_chain(zeta, n_max, om, rf, precision_bits)
-    norms = [_cnorm_inf(chain[n]) for n in range(1, n_max + 1)]
+    prod = shifted_product(zeta, 0, n_max, om, roof, precision_bits)
+    norms = prod.per_step_norms
     tail_start = max(1, (3 * n_max) // 4)
     alpha = max(
         norms[n - 1] ** (1.0 / n) for n in range(tail_start, n_max + 1)
@@ -789,7 +791,8 @@ def local_dimension_bound(
         n_max=n_max,
         alpha=alpha,
         lower_bound=bound,
-        norms=tuple(norms),
+        norms=norms,
+        norm_errors=prod.norm_errors,
         tail_start=tail_start,
         exact_peak=False,
     )

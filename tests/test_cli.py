@@ -112,6 +112,54 @@ class TestSpectral:
             outs.append((out / "spectral.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_precision_bits_reach_the_product_norms(self, cfg, tmp_path, monkeypatch):
+        import subspectral.cli as cli_module
+
+        real = cli_module.local_dimension_bound
+        reports = {}
+
+        def spy(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            reports[kwargs["precision_bits"], rep.omega] = rep
+            return rep
+
+        monkeypatch.setattr(cli_module, "local_dimension_bound", spy)
+        alphas = {}
+        for bits in (None, 400):
+            out = tmp_path / str(bits)
+            flag = [] if bits is None else ["--precision-bits", str(bits)]
+            assert main([
+                "spectral", "--config", cfg(RUNNING),
+                "--omega-grid", "linspace:0:1:12", "--n", "6", "--out", str(out),
+            ] + flag) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["precision_bits"] == (bits or 106)
+            header, *rows = read_csv(out / "spectral.csv")
+            col = header.index("localdim_rate")
+            alphas[bits or 106] = [float(row[col]) for row in rows]
+        assert sorted({b for b, _ in reports}) == [106, 400]
+        assert len(reports) == 2 * 12
+        # the rate at 400 bits lies inside the interval the 106-bit norms
+        # and their error bounds allow, up to the rounding of the powers
+        oms = sorted({om for _, om in reports})
+        for om, a106, a400 in zip(oms, alphas[106], alphas[400]):
+            rep = reports[106, om]
+            assert a106 == rep.alpha and a400 == reports[400, om].alpha
+            if rep.exact_peak:  # integer omega: the exact count rate
+                assert a400 == a106
+                continue
+            tail = range(rep.tail_start, rep.n_max + 1)
+            norms, errs = rep.norms, rep.norm_errors
+            lo = max(max(norms[n - 1] - errs[n - 1], 0.0) ** (1 / n) for n in tail)
+            hi = max((norms[n - 1] + errs[n - 1]) ** (1 / n) for n in tail)
+            assert lo * (1 - 2**-50) <= a400 <= hi * (1 + 2**-50)
+
+    def test_precision_bits_below_two_rejected(self, cfg):
+        assert main([
+            "spectral", "--config", cfg(RUNNING), "--omega-grid", "1/3",
+            "--n", "5", "--precision-bits", "1",
+        ]) == 4
+
     def test_bad_grid_spec(self, cfg):
         assert main([
             "spectral", "--config", cfg(RUNNING),

@@ -3,11 +3,15 @@
 The brute-force summations (`phi_direct`, `phi_suspension_direct`) act as
 oracles for every recursive computation; where both sides are high precision
 the tolerances are tight, where the oracle itself is double precision they
-are 1e-9 as stated in the interface docs.
+are 1e-9 as stated in the interface docs.  The integer kernel is checked
+against the earlier `mpc` product loop, kept here as a reference run at
+2P + 32 bits, within the error bounds the kernel reports.
 """
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,8 +23,6 @@ from hypothesis import strategies as st
 from subspectral import riesz
 from subspectral.errors import BudgetExceeded
 from subspectral.riesz import (
-    _cmat_mul,
-    _cnorm_inf,
     phi_direct,
     phi_of_level_word,
     phi_recursive,
@@ -28,8 +30,8 @@ from subspectral.riesz import (
     phi_suspension_direct,
     riesz_density,
     riesz_product,
-    riesz_product_chain,
     shifted_product,
+    tiling_lengths_at,
     transfer_matrix,
 )
 from subspectral.substitution import (
@@ -49,6 +51,58 @@ SYMMETRIC = Substitution.from_images(["1112", "1222"])
 
 def s_transpose(zeta):
     return _transpose(_as_matrix(substitution_matrix(zeta)))
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: tuples of mpc rows at a given working precision
+
+
+def _cmat_mul(A, B):
+    m = len(A)
+    return tuple(
+        tuple(mp.fsum(A[i][t] * B[t][j] for t in range(m)) for j in range(m))
+        for i in range(m)
+    )
+
+
+def _cnorm_inf(A):
+    return max(mp.fsum(abs(x) for x in row) for row in A)
+
+
+def reference_transfer(zeta, n, om, roof):
+    """Level-n transfer matrix from exact rational cumulative lengths and
+    ``expjpi`` phases at the working precision."""
+    lens = lengths_at(zeta, n) if roof is None else tiling_lengths_at(zeta, n, roof)
+    rows = []
+    for b in range(1, zeta.m + 1):
+        acc = [mp.mpc(0)] * zeta.m
+        cum = Fraction(0)
+        for c in zeta.image(b):
+            phase = (om * cum) % 1
+            acc[c - 1] += mp.expjpi(-2 * mp.mpf(phase.numerator) / phase.denominator)
+            cum += lens[c - 1]
+        rows.append(tuple(acc))
+    return tuple(rows)
+
+
+def reference_products(zeta, k, n, om, roof, bits):
+    """Depth 1..n products for levels k.., newest on the left, and their
+    norms, at 2 * bits + 32 bits."""
+    with mp.workprec(2 * bits + 32):
+        A = reference_transfer(zeta, k, om, roof)
+        out = [(A, _cnorm_inf(A))]
+        for level in range(k + 1, k + n):
+            A = _cmat_mul(reference_transfer(zeta, level, om, roof), A)
+            out.append((A, _cnorm_inf(A)))
+    return out
+
+
+def units(z, bits):
+    """Real and imaginary parts of an mpc in units 2^-bits, exactly."""
+    return (
+        riesz.as_exact(z.real) * 2**bits,
+        riesz.as_exact(z.imag) * 2**bits,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +288,7 @@ class TestRieszProduct:
 
     def test_cocycle_relation_and_chain(self):
         om = 0.7771
-        chain = riesz_product_chain(RUNNING, 6, om)
+        chain = [None] + [riesz_product(RUNNING, n, om).matrix for n in range(1, 7)]
         with mp.workprec(106):
             for n in range(1, 7):
                 P = riesz_product(RUNNING, n, om)
@@ -303,15 +357,21 @@ class TestMemoisation:
 
     @staticmethod
     def loop_product(zeta, k, n, om, roof=None, bits=106):
-        # the unmemoised left-to-right product, newest level on the left
-        with mp.workprec(bits):
-            A = transfer_matrix(zeta, k, om, roof, bits).entries
-            norms = [_cnorm_inf(A)]
-            for level in range(k + 1, k + n):
-                Mk = transfer_matrix(zeta, level, om, roof, bits).entries
-                A = _cmat_mul(Mk, A)
-                norms.append(_cnorm_inf(A))
-        return A, tuple(norms)
+        # the unmemoised left-to-right product on the integer kernel, newest
+        # level on the left; a norm is the max row sum of isqrt(x^2 + y^2)
+        om = riesz.as_exact(om)
+        rf = None if roof is None else tuple(map(Fraction, roof))
+        build = riesz._transfer_matrix.__wrapped__
+
+        def norm(A):
+            return max(sum(math.isqrt(x * x + y * y) for x, y in row) for row in A)
+
+        A = build(zeta, k, om, rf, bits)
+        norms = [norm(A) / 2**bits]
+        for level in range(k + 1, k + n):
+            A = riesz._mul(build(zeta, level, om, rf, bits), A, bits)
+            norms.append(norm(A) / 2**bits)
+        return riesz._mpc_matrix(A, bits), tuple(norms)
 
     def test_cold_and_warm_products_are_identical(self):
         roof = (Fraction(3, 2), Fraction(1, 3))
@@ -361,6 +421,146 @@ class TestMemoisation:
                 got = complex(phi_suspension(RUNNING, [1.5, 1], a, b, 5, 0.3, 64))
                 want = phi_suspension_direct(w, [1.5, 1], a, 0.3)
                 assert abs(got - want) < 1e-9
+
+
+class TestIntegerKernel:
+    """The integer kernel against the mpc reference run at 2P + 32 bits."""
+
+    ROOF = (Fraction(3, 2), Fraction(1, 3))
+
+    @staticmethod
+    def frequencies(bits):
+        # denominators above 2**53; the tiny ones keep the products close to
+        # the count-matrix powers while most phases round inexactly, so the
+        # errors of many levels add up and the carried part of the bound is
+        # needed
+        q = 2 ** max(54, bits // 2 + 20) + 5
+        tiny = tuple(Fraction(c, q) for c in (5, 7, 11))
+        return (
+            Fraction(1, 3) + Fraction(1, 2**60 + 1),
+            Fraction(2**61 - 1, 2**62 + 3),
+        ) + tiny
+
+    @staticmethod
+    def oracle_slack(zeta, n, bits):
+        # the reference's own error, in units 2^-bits, far below one unit
+        top = max(map(sum, _as_matrix(riesz._matrix_power(zeta, n))))
+        return Fraction((n + 1) * top, 2 ** (bits + 24))
+
+    @pytest.mark.parametrize("bits", [64, 106, 400])
+    @pytest.mark.parametrize("roofed", [False, True])
+    @pytest.mark.parametrize(
+        "zeta", [RUNNING, THUE_MORSE, SYMMETRIC], ids=["running", "tm", "sym"]
+    )
+    def test_products_within_reported_bounds(self, zeta, roofed, bits):
+        roof = self.ROOF if roofed else None
+        St = s_transpose(zeta)
+        for om in self.frequencies(bits):
+            n = 40 if om < Fraction(1, 2**32) else 20
+            ref = reference_products(zeta, 0, n, om, roof, bits)
+            P = riesz_product(zeta, n, om, roof, bits)
+            for depth, (A, norm) in enumerate(ref, start=1):
+                slack = self.oracle_slack(zeta, depth, bits)
+                # each phase of the level is within half a unit per part,
+                # plus 2^-10 units of evaluation error
+                M = transfer_matrix(zeta, depth - 1, om, roof, bits).entries
+                with mp.workprec(2 * bits + 32):
+                    M_ref = reference_transfer(zeta, depth - 1, om, roof)
+                for b in range(zeta.m):
+                    for c in range(zeta.m):
+                        got, want = units(M[b][c], bits), units(M_ref[b][c], bits)
+                        tol = St[b][c] * (Fraction(1, 2) + Fraction(1, 2**10))
+                        for g, w in zip(got, want):
+                            assert abs(g - w) <= tol + slack
+                # each product entry is within its entry of the error bound
+                E = riesz._error_units(zeta, depth, bits)[0]
+                got = shifted_product(zeta, 0, depth, om, roof, bits).matrix
+                for b in range(zeta.m):
+                    for c in range(zeta.m):
+                        gx, gy = units(got[b][c], bits)
+                        wx, wy = units(A[b][c], bits)
+                        assert (gx - wx) ** 2 + (gy - wy) ** 2 <= (E[b][c] + slack) ** 2
+                err = abs(Fraction(P.per_step_norms[depth - 1]) - riesz.as_exact(norm))
+                assert err <= Fraction(P.norm_errors[depth - 1]) + slack / 2**bits
+
+    def test_product_step_rounds_each_entry_to_nearest(self):
+        om = Fraction(2**61 - 1, 2**62 + 3)
+        for bits in (64, 106, 400):
+            A = riesz._transfer_matrix(SYMMETRIC, 5, om, None, bits)
+            B = riesz._prefix_product(SYMMETRIC, 0, 5, om, None, bits)[0]
+            got = riesz._mul(A, B, bits)
+            for i in range(2):
+                for j in range(2):
+                    # the exact product at scale 2^-(2 bits)
+                    pairs = [(A[i][t], B[t][j]) for t in range(2)]
+                    re = sum(a * c - b * d for (a, b), (c, d) in pairs)
+                    im = sum(a * d + b * c for (a, b), (c, d) in pairs)
+                    for g, w in zip(got[i][j], (re, im)):
+                        assert abs(Fraction(w, 2**bits) - g) <= Fraction(1, 2)
+
+    def test_shifted_product_within_reported_bounds(self):
+        om, bits = Fraction(2**61 - 1, 2**62 + 3), 106
+        for roof in (None, self.ROOF):
+            ref = reference_products(SYMMETRIC, 3, 12, om, roof, bits)
+            P = shifted_product(SYMMETRIC, 3, 12, om, roof, bits)
+            for depth, (_, norm) in enumerate(ref, start=1):
+                slack = self.oracle_slack(SYMMETRIC, depth, bits)
+                err = abs(Fraction(P.per_step_norms[depth - 1]) - riesz.as_exact(norm))
+                assert err <= Fraction(P.norm_errors[depth - 1]) + slack / 2**bits
+
+    def test_error_bounds_shrink_with_precision(self):
+        a = riesz_product(RUNNING, 9, Fraction(1, 7), None, 80)
+        b = riesz_product(RUNNING, 9, Fraction(1, 7), None, 81)
+        assert all(0 < x < y for x, y in zip(b.norm_errors, a.norm_errors))
+
+    def test_deep_cold_entry_fills_the_memo_in_strides(self):
+        # a cold depth-1030 entry would recurse past the interpreter's limit
+        # if every depth were filled from the bottom in one recursion; past
+        # depth 1023 the Thue-Morse norms leave the float range
+        om = Fraction(5, 2**1100 + 3)
+        TestMemoisation.clear()
+        try:
+            got = phi_recursive(THUE_MORSE, 1, 2, 1030, om)
+            P = riesz_product(THUE_MORSE, 1030, om)
+            assert got == P.matrix[1][0]
+            assert math.isfinite(P.per_step_norms[1020])
+            assert P.per_step_norms[-1] == P.norm_errors[-1] == math.inf
+        finally:
+            TestMemoisation.clear()
+
+    def test_quarter_turn_phases_are_exact(self):
+        # at level 0 of Thue-Morse the phases are 1 and e^(-2 pi i omega)
+        cases = ((Fraction(1, 4), -1j), (Fraction(1, 2), -1), (Fraction(3, 4), 1j))
+        for om, z in cases:
+            for bits in (64, 106, 400):
+                M = transfer_matrix(THUE_MORSE, 0, om, None, bits).entries
+                assert M == ((1, z), (z, 1))
+
+    def test_threads_give_identical_products(self):
+        oms = [Fraction(k, 100003) for k in range(1, 57 * 37, 37)]
+        assert len(oms) == 57
+
+        def run(order):
+            return [
+                (om, P.matrix, P.per_step_norms, P.norm_errors)
+                for om in order
+                for P in (riesz_product(RUNNING, 14, om),)
+            ]
+
+        TestMemoisation.clear()
+        single = sorted(run(oms), key=lambda t: t[0])
+        TestMemoisation.clear()
+        orders = [oms[i * 9:] + oms[: i * 9] for i in range(6)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(run, order) for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for res in results:
+            assert sorted(res, key=lambda t: t[0]) == single
 
 
 # ---------------------------------------------------------------------------

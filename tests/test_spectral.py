@@ -26,7 +26,13 @@ from subspectral.errors import (
     NotMeanZero,
     RadiusTooLarge,
 )
-from subspectral.riesz import phi_direct, phi_recursive, phi_suspension
+from subspectral.riesz import (
+    as_exact,
+    phi_direct,
+    phi_recursive,
+    phi_suspension,
+    shifted_product,
+)
 from subspectral.spectral import (
     PI_SQUARED_UPPER,
     DiophConstants,
@@ -656,6 +662,25 @@ class TestLocalDimension:
         rep = local_dimension_bound(RUNNING, om, 12)
         want = transfer_norms_oracle(RUNNING, 12, om)
         assert rep.norms == pytest.approx(want, rel=1e-9)
+
+    def test_norms_are_product_norms_within_their_bounds(self):
+        # one product path: the logged norms and bounds are those of the
+        # memoised prefix products, and each norm is within its bound of the
+        # norm of a product computed in mpc arithmetic at 2P + 32 bits
+        from test_riesz import TestIntegerKernel, reference_products
+
+        n_max, bits = 48, 106
+        for k in range(1, 30):
+            om = Fraction(3449 * k, 100003)
+            rep = local_dimension_bound(RUNNING, om, n_max)
+            prod = shifted_product(RUNNING, 0, n_max, om)
+            assert rep.norms == prod.per_step_norms
+            assert rep.norm_errors == prod.norm_errors
+            ref = reference_products(RUNNING, 0, n_max, om, None, bits)
+            for n, (_, want) in enumerate(ref, start=1):
+                slack = TestIntegerKernel.oracle_slack(RUNNING, n, bits) / 2**bits
+                err = abs(Fraction(rep.norms[n - 1]) - as_exact(want))
+                assert err <= Fraction(rep.norm_errors[n - 1]) + slack
 
     def test_generic_twist_contracts(self):
         rep = local_dimension_bound(RUNNING, Fraction(3, 10), 40)
