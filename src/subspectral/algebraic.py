@@ -30,6 +30,15 @@ is read off by a shift, and a narrower one resumes from the narrowest
 bracket reached so far.  Root certification, classification and the
 decay constants depend only on their (immutable) arguments and are
 memoised in bounded caches.
+
+Field values.  A value of Q(theta) is a tuple of integer Z[theta] numerators
+over one common positive denominator: ``zt_mul_theta`` multiplies the
+numerators by theta, and ``qt_value_interval`` encloses the value with the
+same interval Horner kernel.  For theta > 0 the Horner enclosure is never
+wider than the power-form one (each coefficient times the matching power of
+an endpoint, summed), since interval products are subdistributive and exact
+on positive intervals; for fields of degree <= 2, whose values are linear in
+theta, the two are equal.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ __all__ = [
     "classify",
     "zt_mul_theta",
     "zt_value_interval",
+    "qt_value_interval",
     "frac_dist",
     "prop_alg_constants",
     "garsia_lower_bound",
@@ -88,13 +98,6 @@ def _poly_derivative(p: Sequence[int]) -> tuple[int, ...]:
     if s == 0:
         return (0,)
     return tuple((s - i) * p[i] for i in range(s))
-
-
-def _poly_eval_frac(p: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
 
 
 def _poly_eval_mp(p: Sequence[int], z) -> "mp.mpc":
@@ -242,12 +245,18 @@ class RootDisk:
 
 
 def _mpf_to_fraction(x: "mp.mpf") -> Fraction:
+    """Exact rational value of a finite mpf; ``ValueError`` for inf, -inf
+    and nan."""
     # direct mantissa/exponent extraction: exact, independent of the ambient
     # working precision (mp.mpf(x) would round); int() guards against gmpy2
     # mantissas leaking into Fraction internals
     sign, man, exp, _ = x._mpf_
     man, exp = int(man), int(exp)
     if man == 0:
+        # zero has exponent 0; inf, -inf and nan a zero mantissa and a
+        # nonzero special exponent
+        if exp:
+            raise ValueError(f"non-finite value {x}")
         return Fraction(0)
     value = Fraction(man) * (Fraction(2) ** exp)
     return -value if sign else value
@@ -383,10 +392,10 @@ def _exact_circle_count(poly: Sequence[int]) -> int:
         return 0
     g = _poly_gcd(p, _reciprocal(p))
     count = 0
-    if _poly_eval_frac(g, Fraction(1)) == 0:
+    if _poly_sign_scaled(g, 1, 1) == 0:
         g = _strip_root(g, 1)
         count += 1
-    if _poly_eval_frac(g, Fraction(-1)) == 0:
+    if _poly_sign_scaled(g, -1, 1) == 0:
         g = _strip_root(g, -1)
         count += 1
     if _poly_degree(g) == 0:
@@ -638,7 +647,7 @@ def _classification(ai: AlgebraicInteger, cap_bits: int) -> Classification:
         if lo2 <= 1:
             if hi2 <= 1:
                 dom_ok = False
-            elif _poly_eval_frac(ai.poly, Fraction(1)) == 0:
+            elif _poly_sign_scaled(ai.poly, 1, 1) == 0:
                 # the bracket holds exactly one root, so that root is 1 itself
                 dom_ok = False
             else:
@@ -735,12 +744,21 @@ def _zt_scaled(
     return L, H, S
 
 
+def qt_value_interval(
+    nums: Sequence[int], den: int, lo: Fraction, hi: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Exact rational enclosure of the Q(theta) value (sum nums[i] x^i)/den
+    over x in [lo, hi] (lo <= hi, den > 0), by the interval Horner scheme."""
+    L, H, S = _zt_scaled(nums, *_scaled_bracket(lo, hi))
+    S *= den
+    return Fraction(L, S), Fraction(H, S)
+
+
 def zt_value_interval(
     x: ZThetaElement, ai: AlgebraicInteger, width_bits: int
 ) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of the real value of ``x`` at the root."""
-    L, H, S = _zt_scaled(x.coords, *_scaled_bracket(*ai.real_bracket(width_bits)))
-    return Fraction(L, S), Fraction(H, S)
+    return qt_value_interval(x.coords, 1, *ai.real_bracket(width_bits))
 
 
 class CertifiedDistance(NamedTuple):
@@ -838,7 +856,7 @@ def _ceil_log_ratio(ai: AlgebraicInteger, theta2_index: int) -> int:
 
         k = math.floor(hi)
         for cand in (k, k + 1):
-            if lo <= cand <= hi and _poly_eval_frac(p, Fraction(cand)) == 0:
+            if lo <= cand <= hi and _poly_sign_scaled(p, cand, 1) == 0:
                 return cand
         return None
 

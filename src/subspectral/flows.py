@@ -43,7 +43,15 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .algebraic import AlgebraicInteger, classify, prop_alg_constants
+from .algebraic import (
+    AlgebraicInteger,
+    ZThetaElement,
+    _poly_sign_scaled,
+    classify,
+    prop_alg_constants,
+    qt_value_interval,
+    zt_mul_theta,
+)
 from .errors import (
     BudgetExceeded,
     DegenerateF,
@@ -75,60 +83,8 @@ from .substitution import (
 )
 
 # ---------------------------------------------------------------------------
-# exact arithmetic in the field generated by the dominant eigenvalue
-#
-# Field elements are tuples of Fractions: coordinates in the power basis
-# 1, theta, ..., theta^(d-1) modulo the minimal polynomial (descending,
-# monic, integer coefficients).
-
-
-def _fq_reduce(coeffs: Sequence[Fraction], min_poly: tuple[int, ...]) -> tuple:
-    d = len(min_poly) - 1
-    tail = min_poly[1:]  # theta^d = -(tail[0] theta^(d-1) + ... + tail[d-1])
-    work = list(coeffs)
-    for i in range(len(work) - 1, d - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = Fraction(0)
-            for j in range(1, d + 1):
-                work[i - j] -= c * tail[j - 1]
-    out = work[:d]
-    while len(out) < d:
-        out.append(Fraction(0))
-    return tuple(out)
-
-
-def _fq_mul(a: Sequence[Fraction], b: Sequence[Fraction], min_poly) -> tuple:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _fq_reduce(out, min_poly)
-
-
-def _fq_add(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _fq_scale(a, c: Fraction) -> tuple:
-    return tuple(x * c for x in a)
-
-
-def _fq_is_zero(a) -> bool:
-    return all(x == 0 for x in a)
-
-
-def _fq_one(d: int) -> tuple:
-    return tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
-
-
-def _fq_theta(min_poly: tuple[int, ...]) -> tuple:
-    d = len(min_poly) - 1
-    if d == 1:
-        return (Fraction(-min_poly[1], min_poly[0]),)
-    return tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(d))
+# field values: Z[theta] numerators over one denominator, on the kernel of
+# ``algebraic`` (multiplication by theta and interval Horner enclosures)
 
 
 @lru_cache(maxsize=64)
@@ -138,70 +94,19 @@ def _field_generator(min_poly: tuple[int, ...]) -> AlgebraicInteger:
     return AlgebraicInteger.from_poly(min_poly, 128)
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        a.pop()
-    return q, a
+def _field_numerators(
+    coords: Sequence[Sequence[Fraction]],
+) -> tuple[list[tuple[int, ...]], int]:
+    """Field coordinates as integer numerators over their least common
+    denominator."""
+    den = math.lcm(*(c.denominator for row in coords for c in row))
+    nums = [tuple(c.numerator * (den // c.denominator) for c in row) for row in coords]
+    return nums, den
 
 
-def _fq_inv(a: Sequence[Fraction], min_poly: tuple[int, ...]) -> tuple:
-    """Field inverse by the extended Euclidean algorithm against the
-    (irreducible) minimal polynomial."""
-    if _fq_is_zero(a):
-        raise ZeroDivisionError("field element is zero")
-    r0 = [Fraction(c) for c in reversed(min_poly)]  # ascending
-    r1 = list(a)
-    while r1 and r1[-1] == 0:
-        r1.pop()
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        q, r = _poly_divmod(r0, r1)
-        while r and r[-1] == 0:
-            r.pop()
-        if not any(r):
-            break
-        s_next = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    if sc:
-                        s_next[i + j] -= qc * sc
-        r0, r1, s0, s1 = r1, r, s1, s_next
-    lead = r1[-1]
-    inv = [x / lead for x in s1]
-    return _fq_reduce(inv, min_poly)
-
-
-def _fq_eval_interval(
-    a: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Interval enclosure of sum a_i theta^i for theta in [lo, hi], 0 < lo."""
-    plo = [Fraction(1)]
-    phi = [Fraction(1)]
-    for _ in range(1, len(a)):
-        plo.append(plo[-1] * lo)
-        phi.append(phi[-1] * hi)
-    out_lo = Fraction(0)
-    out_hi = Fraction(0)
-    for i, c in enumerate(a):
-        if c >= 0:
-            out_lo += c * plo[i]
-            out_hi += c * phi[i]
-        else:
-            out_lo += c * phi[i]
-            out_hi += c * plo[i]
-    return out_lo, out_hi
+def _combine(weights: Sequence[int], nums: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Numerators of sum_i weights[i] * nums[i]."""
+    return tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*nums))
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +197,9 @@ def _theta_min_poly(zeta: Substitution) -> tuple[int, ...]:
         coeffs = [int(c) for c in sympy.Poly(base, x).all_coeffs()]
         if coeffs[0] < 0:
             coeffs = [-c for c in coeffs]
-
-        def ev(t: Fraction) -> Fraction:
-            acc = Fraction(0)
-            for c in coeffs:
-                acc = acc * t + c
-            return acc
-
-        vlo, vhi = ev(lo), ev(hi)
-        if vlo == 0 or vhi == 0 or (vlo < 0) != (vhi < 0):
+        s_lo = _poly_sign_scaled(coeffs, lo.numerator, lo.denominator)
+        s_hi = _poly_sign_scaled(coeffs, hi.numerator, hi.denominator)
+        if s_lo * s_hi <= 0:
             return tuple(coeffs)
     raise NotFound(
         "no factor of the characteristic polynomial brackets the dominant "
@@ -314,33 +213,33 @@ def self_similar_roof(
     """The flow whose roof is the simplex-normalized Perron eigenvector of
     the transpose count matrix, computed exactly.
 
-    Integer dominant eigenvalue: the eigenvector is found by rational
-    elimination and the roof is exact.  Irrational: the eigenvector is
-    solved in the field generated by the eigenvalue, normalization
-    included, and the eigen identity is re-checked symbolically; certified
-    rational enclosures of the entries back the numeric roof."""
+    The normalized eigenvector is the unique solution of one linear system
+    over the rationals (see ``_normalized_eigenvector``); its entries are
+    field coordinates in the power basis of the eigenvalue, and the eigen
+    identity is re-checked on their integer numerators.  Integer dominant
+    eigenvalue: the roof is exact.  Irrational: certified rational
+    enclosures of the entries back the numeric roof."""
     if not is_primitive(substitution_matrix(zeta)).primitive:
         raise NotPrimitive("the substitution must be primitive")
     S = substitution_matrix(zeta)
     m = zeta.m
-    St = [[Fraction(S[j][i]) for j in range(m)] for i in range(m)]
     min_poly = _theta_min_poly(zeta)
     d = len(min_poly) - 1
     pd = perron_data(S, precision_bits=max(96, precision_bits))
+    coords = _normalized_eigenvector(S, min_poly)
+
+    # symbolic re-check of the eigen identity on the integer numerators
+    nums, den = _field_numerators(coords)
+    for i in range(m):
+        image = _combine([S[j][i] for j in range(m)], nums)
+        if image != zt_mul_theta(ZThetaElement(nums[i]), min_poly).coords:
+            raise ArithmeticError("eigenvector identity failed in the field")
 
     if d == 1:
-        theta = Fraction(-min_poly[1], min_poly[0])
-        A = [
-            [St[i][j] - (theta if i == j else 0) for j in range(m)]
-            for i in range(m)
-        ]
-        vec = _rational_nullspace(A)
-        if all(x <= 0 for x in vec):
-            vec = [-x for x in vec]
-        if any(x <= 0 for x in vec):
+        theta = Fraction(-min_poly[1])
+        roof = tuple(c for (c,) in coords)
+        if not all(r > 0 for r in roof):
             raise ArithmeticError("dominant eigenvector is not positive")
-        total = sum(vec)
-        roof = tuple(x / total for x in vec)
         return SuspensionFlow(
             zeta=zeta,
             roof=roof,
@@ -348,59 +247,21 @@ def self_similar_roof(
             theta=float(theta),
             theta_interval=(theta, theta),
             min_poly=min_poly,
-            s_coords=tuple((r,) for r in roof),
+            s_coords=coords,
             roof_width=Fraction(0),
         )
 
-    zero = tuple(Fraction(0) for _ in range(d))
-    one = _fq_one(d)
-    theta_el = _fq_theta(min_poly)
-    A = [
-        [
-            _fq_add(
-                _fq_scale(one, St[i][j]),
-                _fq_scale(theta_el, Fraction(-1)) if i == j else zero,
-            )
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    vec = _field_nullspace(A, min_poly, d)
-
     ai = _field_generator(min_poly)
     width_bits = max(96, precision_bits)
-    lo, hi = ai.real_bracket(width_bits)
-    vals = [_fq_eval_interval(v, lo, hi) for v in vec]
-    while any(vlo <= 0 <= vhi for vlo, vhi in vals):
-        width_bits *= 2
+    target = Fraction(1, 2**precision_bits)
+    while True:
         lo, hi = ai.real_bracket(width_bits)
-        vals = [_fq_eval_interval(v, lo, hi) for v in vec]
-    if all(vhi < 0 for _, vhi in vals):
-        vec = [_fq_scale(v, Fraction(-1)) for v in vec]
-        vals = [(-vhi, -vlo) for vlo, vhi in vals]
+        vals = [qt_value_interval(x, den, lo, hi) for x in nums]
+        if max(vhi - vlo for vlo, vhi in vals) <= 2 * target:
+            break
+        width_bits *= 2
     if not all(vlo > 0 for vlo, _ in vals):
         raise ArithmeticError("dominant eigenvector is not positive")
-
-    total = vec[0]
-    for v in vec[1:]:
-        total = _fq_add(total, v)
-    inv_total = _fq_inv(total, min_poly)
-    coords = tuple(_fq_mul(v, inv_total, min_poly) for v in vec)
-
-    # symbolic re-check of the eigen identity on the normalized vector
-    for i in range(m):
-        acc = zero
-        for j in range(m):
-            acc = _fq_add(acc, _fq_scale(coords[j], St[i][j]))
-        if acc != _fq_mul(theta_el, coords[i], min_poly):
-            raise ArithmeticError("eigenvector identity failed in the field")
-
-    target = Fraction(1, 2**precision_bits)
-    vals = [_fq_eval_interval(c, lo, hi) for c in coords]
-    while max(vhi - vlo for vlo, vhi in vals) > 2 * target:
-        width_bits *= 2
-        lo, hi = ai.real_bracket(width_bits)
-        vals = [_fq_eval_interval(c, lo, hi) for c in coords]
     roof = tuple((vlo + vhi) / 2 for vlo, vhi in vals)
     return SuspensionFlow(
         zeta=zeta,
@@ -414,14 +275,49 @@ def self_similar_roof(
     )
 
 
-def _rational_nullspace(A: list[list[Fraction]]) -> list[Fraction]:
-    m = len(A)
-    M = [row[:] for row in A]
+def _normalized_eigenvector(
+    S: Sequence[Sequence[int]], min_poly: tuple[int, ...]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Power-basis coordinates of the eigenvector c of S^t for theta whose
+    entries sum to 1.
+
+    The unknowns are the m*d rational coordinates of c and a scale t; the
+    rows are (S^t (x) I - I (x) C) c = 0, with C the companion matrix of
+    the minimal polynomial (multiplication by theta), and sum_j c_j = t,
+    one row per coordinate.  The eigenvalue is simple, so the null space is
+    one-dimensional and t = 1 picks the normalized eigenvector."""
+    m, d = len(S), len(min_poly) - 1
+    n = m * d
+    # C[l], column l of C, holds the coordinates of theta * theta^l
+    basis = [ZThetaElement(tuple(int(k == l) for k in range(d))) for l in range(d)]
+    C = [zt_mul_theta(e, min_poly).coords for e in basis]
+    rows = []
+    for i in range(m):
+        for k in range(d):
+            row = [0] * (n + 1)
+            for j in range(m):
+                row[j * d + k] += S[j][i]
+            for l in range(d):
+                row[i * d + l] -= C[l][k]
+            rows.append(row)
+    for k in range(d):
+        rows.append([int(u % d == k) for u in range(n)] + [-int(k == 0)])
+    vec = _rational_nullspace(rows)
+    t = vec[n]
+    return tuple(tuple(vec[j * d + l] / t for l in range(d)) for j in range(m))
+
+
+def _rational_nullspace(A: Sequence[Sequence[int]]) -> list[Fraction]:
+    """The spanning vector of the null space of a rational matrix of any
+    shape, by Gauss-Jordan elimination; the null space must be
+    one-dimensional."""
+    M = [[Fraction(x) for x in row] for row in A]
+    rows, cols = len(M), len(M[0])
     pivots: dict[int, int] = {}
     r = 0
-    for col in range(m):
+    for col in range(cols):
         sel = None
-        for i in range(r, m):
+        for i in range(r, rows):
             if M[i][col] != 0:
                 sel = i
                 break
@@ -430,58 +326,22 @@ def _rational_nullspace(A: list[list[Fraction]]) -> list[Fraction]:
         M[r], M[sel] = M[sel], M[r]
         inv = 1 / M[r][col]
         M[r] = [x * inv for x in M[r]]
-        for i in range(m):
+        for i in range(rows):
             if i != r and M[i][col] != 0:
                 f = M[i][col]
                 M[i] = [x - f * y for x, y in zip(M[i], M[r])]
         pivots[col] = r
         r += 1
-    free = [c for c in range(m) if c not in pivots]
-    if not free:
-        raise ArithmeticError("matrix is nonsingular; no eigenvector")
+    free = [c for c in range(cols) if c not in pivots]
+    if len(free) != 1:
+        raise ArithmeticError(
+            f"null space has dimension {len(free)}; expected a unique eigenvector"
+        )
     f0 = free[0]
-    vec = [Fraction(0)] * m
+    vec = [Fraction(0)] * cols
     vec[f0] = Fraction(1)
     for col, row in pivots.items():
         vec[col] = -M[row][f0]
-    return vec
-
-
-def _field_nullspace(A, min_poly, d) -> list[tuple]:
-    m = len(A)
-    one = _fq_one(d)
-    zero = tuple(Fraction(0) for _ in range(d))
-    M = [row[:] for row in A]
-    pivots: dict[int, int] = {}
-    r = 0
-    for col in range(m):
-        sel = None
-        for i in range(r, m):
-            if not _fq_is_zero(M[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        M[r], M[sel] = M[sel], M[r]
-        inv = _fq_inv(M[r][col], min_poly)
-        M[r] = [_fq_mul(x, inv, min_poly) for x in M[r]]
-        for i in range(m):
-            if i != r and not _fq_is_zero(M[i][col]):
-                f = M[i][col]
-                M[i] = [
-                    _fq_add(x, _fq_scale(_fq_mul(f, y, min_poly), Fraction(-1)))
-                    for x, y in zip(M[i], M[r])
-                ]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
-    if not free:
-        raise ArithmeticError("matrix is nonsingular over the field")
-    f0 = free[0]
-    vec = [zero] * m
-    vec[f0] = one
-    for col, row in pivots.items():
-        vec[col] = _fq_scale(M[row][f0], Fraction(-1))
     return vec
 
 
@@ -510,30 +370,21 @@ def length_identity_defect(flow: SuspensionFlow, v, n: int) -> Fraction:
     m = flow.zeta.m
     ab = abelianization(word, m)
     if flow.s_coords is not None and flow.min_poly is not None:
-        d = len(flow.min_poly) - 1
-        base = [Fraction(0)] * d
-        for i in range(m):
-            for j in range(d):
-                base[j] += ab[i] * flow.s_coords[i][j]
-        el = tuple(base)
-        theta_el = _fq_theta(flow.min_poly)
+        nums, den = _field_numerators(flow.s_coords)
+        el = ZThetaElement(_combine(ab, nums))
         for _ in range(n):
-            el = _fq_mul(el, theta_el, flow.min_poly)
+            el = zt_mul_theta(el, flow.min_poly)
         S = substitution_matrix(flow.zeta)
         Sn_ab = list(ab)
         for _ in range(n):
             Sn_ab = [
                 sum(S[i][j] * Sn_ab[j] for j in range(m)) for i in range(m)
             ]
-        mat = [Fraction(0)] * d
-        for i in range(m):
-            for j in range(d):
-                mat[j] += Sn_ab[i] * flow.s_coords[i][j]
-        if tuple(mat) == el:
+        mat = _combine(Sn_ab, nums)
+        if mat == el.coords:
             return Fraction(0)
-        diff = tuple(a - b for a, b in zip(mat, el))
-        lo, hi = flow.theta_interval
-        dlo, dhi = _fq_eval_interval(diff, lo, hi)
+        diff = tuple(a - b for a, b in zip(mat, el.coords))
+        dlo, dhi = qt_value_interval(diff, den, *flow.theta_interval)
         return max(abs(dlo), abs(dhi))
     lens = level_lengths(flow, n)
     via_matrix = sum(ab[i] * lens[i] for i in range(m))
@@ -716,22 +567,17 @@ def _self_similar_distances(
     """Certified lower bounds for the distances to the nearest integer of
     omega times the weighted lengths of the level-k images of the word,
     k < count, via exact field coordinates and interval refinement."""
-    m = flow.zeta.m
-    ab = abelianization(word, m)
-    d = len(flow.min_poly) - 1
-    base = [Fraction(0)] * d
-    for i in range(m):
-        for j in range(d):
-            base[j] += ab[i] * flow.s_coords[i][j]
-    cur = tuple(c * omega for c in base)
-    theta_el = _fq_theta(flow.min_poly)
+    nums, den = _field_numerators(flow.s_coords)
+    base = _combine(abelianization(word, flow.zeta.m), nums)
+    cur = ZThetaElement(tuple(omega.numerator * x for x in base))
+    den *= omega.denominator
     ai = _field_generator(flow.min_poly)
     width_bits = 96
     lo, hi = ai.real_bracket(width_bits)
     out = []
     for _ in range(count):
         while True:
-            vlo, vhi = _fq_eval_interval(cur, lo, hi)
+            vlo, vhi = qt_value_interval(cur.coords, den, lo, hi)
             if vhi - vlo < Fraction(1, 2**48):
                 break
             width_bits *= 2
@@ -740,7 +586,7 @@ def _self_similar_distances(
             out.append(Fraction(0))
         else:
             out.append(min(_dist_to_int(vlo), _dist_to_int(vhi)))
-        cur = _fq_mul(cur, theta_el, flow.min_poly)
+        cur = zt_mul_theta(cur, ai)
     return out
 
 

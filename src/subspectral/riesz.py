@@ -53,6 +53,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
+from .algebraic import _mpf_to_fraction
 from .errors import BudgetExceeded
 from .substitution import (
     Substitution,
@@ -75,7 +76,9 @@ _STRIDE = 64  # a cold prefix lookup recurses at most this many depths
 def as_exact(x) -> Fraction:
     """Exact rational value of ``x`` (int, Fraction, float, or mpf).
 
-    Floats and mpfs are binary rationals, so the conversion is lossless."""
+    Finite floats and mpfs are binary rationals, so the conversion is
+    lossless; non-finite ones (inf, -inf, nan) are refused with
+    ``ValueError``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -85,12 +88,7 @@ def as_exact(x) -> Fraction:
             raise ValueError("frequency/roof values must be finite")
         return Fraction(x)
     if isinstance(x, mp.mpf):
-        sign, man, exp, _ = x._mpf_
-        man, exp = int(man), int(exp)
-        if man == 0:
-            return Fraction(0)
-        v = Fraction(man) * (Fraction(2) ** exp)
-        return -v if sign else v
+        return _mpf_to_fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 

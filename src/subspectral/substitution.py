@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import mpmath as mp
 
+from .algebraic import _mpf_to_fraction, _poly_sign_scaled, _RootBisection
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -362,24 +363,6 @@ def tiling_length(v: str | Sequence[int], s: Sequence) -> object:
 # Perron-Frobenius data
 
 
-def _poly_eval_fraction(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _mpf_to_fraction(x: "mp.mpf") -> Fraction:
-    # raw tuple access avoids re-rounding at the ambient precision; int()
-    # normalizes gmpy2-backend mantissas so Fraction internals stay pure ints
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value
-
-
 @dataclass(frozen=True)
 class PerronData:
     """Certified dominant-eigenvalue data of a primitive matrix.
@@ -426,11 +409,27 @@ def _adjugate_column(A: "mp.matrix") -> "mp.matrix":
     return best
 
 
+def _dominant_root_seed(poly: tuple[int, ...]) -> "mp.mpf":
+    """Real part of the largest-modulus root of ``poly`` (descending) from
+    ``mp.polyroots`` at the working precision.  Where polyroots does not
+    converge there (a repeated root can stall it at high precision), the
+    seed is taken at 53 + 64 bits: it only centres a bracket that is then
+    checked exactly."""
+    coeffs = [mp.mpf(c) for c in poly]
+    try:
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=100)
+    except mp.libmp.NoConvergence:
+        with mp.workprec(53 + 64):
+            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=100)
+    return mp.re(max(roots, key=lambda z: abs(z)))
+
+
 def perron_data(S: Sequence[Sequence[int]], precision_bits: int = 64) -> PerronData:
     """Certified Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix.
 
-    The dominant eigenvalue is enclosed by exact rational bisection of the
-    characteristic polynomial to width ``2**-precision_bits``; eigenvectors are
+    A ``mp.polyroots`` seed is widened exactly until it brackets the dominant
+    eigenvalue, and the bracket is narrowed to width ``2**-precision_bits`` by
+    the shared exact root bisection ``algebraic._RootBisection``; eigenvectors are
     computed at matching working precision and validated by their residual.
     Raises ``NotPrimitive`` when no power of ``S`` is strictly positive.
     """
@@ -438,44 +437,32 @@ def perron_data(S: Sequence[Sequence[int]], precision_bits: int = 64) -> PerronD
     m = len(M)
     if not is_primitive(M).primitive:
         raise NotPrimitive("matrix has no strictly positive power")
-    coeffs = char_poly(M)
+    poly = tuple(reversed(char_poly(M)))
+
+    def sign(x: Fraction) -> int:
+        return _poly_sign_scaled(poly, x.numerator, x.denominator)
 
     with mp.workprec(max(precision_bits, 53) + 64):
-        approx_roots = mp.polyroots(
-            [mp.mpf(c) for c in reversed(coeffs)], maxsteps=200, extraprec=100
-        )
-        theta_approx = max(approx_roots, key=lambda z: abs(z))
-        theta_approx = mp.re(theta_approx)
+        theta_approx = _dominant_root_seed(poly)
 
         # Exact rational bracketing around the approximation.
         delta = Fraction(1, 2 ** 40)
         mid = _mpf_to_fraction(theta_approx)
         lo, hi = mid - delta, mid + delta
         widenings = 0
-        while _poly_eval_fraction(coeffs, lo) == 0:
+        while sign(lo) == 0:
             lo -= delta
-        while _poly_eval_fraction(coeffs, hi) == 0:
+        while sign(hi) == 0:
             hi += delta
-        while (_poly_eval_fraction(coeffs, lo) > 0) == (
-            _poly_eval_fraction(coeffs, hi) > 0
-        ):
+        while (sign(lo) > 0) == (sign(hi) > 0):
             delta *= 2
             lo, hi = mid - delta, mid + delta
             widenings += 1
             if widenings > 80:
                 raise ArithmeticError("failed to bracket the dominant eigenvalue")
-        target = Fraction(1, 2 ** precision_bits)
-        sign_lo = _poly_eval_fraction(coeffs, lo) > 0
-        while hi - lo > target:
-            c = (lo + hi) / 2
-            val = _poly_eval_fraction(coeffs, c)
-            if val == 0:
-                lo = hi = c
-                break
-            if (val > 0) == sign_lo:
-                lo = c
-            else:
-                hi = c
+        a, b, den = _RootBisection(poly, lo, hi).bracket(precision_bits)
+        lo = Fraction(a, den)
+        hi = lo if a == b else Fraction(b, den)
 
         theta = mp.mpf(lo.numerator) / lo.denominator
         theta = (theta + mp.mpf(hi.numerator) / hi.denominator) / 2
