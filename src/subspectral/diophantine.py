@@ -31,6 +31,7 @@ from .algebraic import (
     prop_alg_constants,
     zt_mul_theta,
     zt_value_interval,
+    _mpf_to_fraction,
     _poly_degree,
     _scaled_bracket,
     _zt_scaled,
@@ -96,12 +97,7 @@ def _normalize_t(ai: AlgebraicInteger, t) -> tuple[ZThetaElement, int]:
     if isinstance(t, int):
         return ZThetaElement.from_int(t, s), 1
     if isinstance(t, mp.mpf):
-        sign, man, exp, _ = t._mpf_
-        man, exp = int(man), int(exp)
-        frac = Fraction(0) if man == 0 else Fraction(man) * Fraction(2) ** exp
-        if sign:
-            frac = -frac
-        t = frac
+        t = _mpf_to_fraction(t)
     if isinstance(t, float):
         if not math.isfinite(t):
             raise ValueError("t must be finite")

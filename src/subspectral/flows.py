@@ -46,6 +46,7 @@ import numpy as np
 from .algebraic import (
     AlgebraicInteger,
     ZThetaElement,
+    _mpf_to_fraction,
     _poly_sign_scaled,
     classify,
     prop_alg_constants,
@@ -60,7 +61,7 @@ from .errors import (
     NotPrimitive,
     WrongClass,
 )
-from .riesz import as_exact, tiling_lengths_at
+from .riesz import as_exact
 from .spectral import (
     PI_SQUARED_UPPER,
     DiophConstants,
@@ -70,6 +71,7 @@ from .spectral import (
 )
 from .substitution import (
     Substitution,
+    _count_power,
     abelianization,
     as_word,
     char_poly,
@@ -80,6 +82,7 @@ from .substitution import (
     lengths_at,
     perron_data,
     substitution_matrix,
+    tiling_lengths_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -163,14 +166,10 @@ def make_flow(
     if normalize:
         total = sum(r)
         r = tuple(s / total for s in r)
-    S = substitution_matrix(zeta)
-    m = zeta.m
-    image = tuple(
-        sum(Fraction(S[j][i]) * r[j] for j in range(m)) for i in range(m)
-    )  # transpose matrix applied to the roof
-    pd = perron_data(S, precision_bits=96)
+    image = tiling_lengths_at(zeta, 1, r)  # transpose matrix applied to the roof
+    pd = perron_data(substitution_matrix(zeta), precision_bits=96)
     lo, hi = pd.theta_interval
-    self_similar = lo == hi and all(image[i] == lo * r[i] for i in range(m))
+    self_similar = lo == hi and all(x == lo * s for x, s in zip(image, r))
     return SuspensionFlow(
         zeta=zeta,
         roof=r,
@@ -180,10 +179,13 @@ def make_flow(
     )
 
 
-def _theta_min_poly(zeta: Substitution) -> tuple[int, ...]:
+def _theta_min_poly(
+    zeta: Substitution, theta_interval: tuple[Fraction, Fraction] | None = None
+) -> tuple[int, ...]:
     """Minimal polynomial (descending, monic) of the dominant eigenvalue:
     the irreducible factor of the characteristic polynomial that vanishes
-    on the certified dominant bracket."""
+    on the certified dominant bracket ``theta_interval`` (certified here at
+    96 bits when not given)."""
     import sympy
 
     S = substitution_matrix(zeta)
@@ -191,8 +193,9 @@ def _theta_min_poly(zeta: Substitution) -> tuple[int, ...]:
     x = sympy.Symbol("x")
     expr = sum(int(c) * x**i for i, c in enumerate(asc))
     factors = sympy.factor_list(expr)[1]
-    pd = perron_data(S, precision_bits=96)
-    lo, hi = pd.theta_interval
+    if theta_interval is None:
+        theta_interval = perron_data(S, precision_bits=96).theta_interval
+    lo, hi = theta_interval
     for base, _ in factors:
         coeffs = [int(c) for c in sympy.Poly(base, x).all_coeffs()]
         if coeffs[0] < 0:
@@ -223,9 +226,9 @@ def self_similar_roof(
         raise NotPrimitive("the substitution must be primitive")
     S = substitution_matrix(zeta)
     m = zeta.m
-    min_poly = _theta_min_poly(zeta)
-    d = len(min_poly) - 1
     pd = perron_data(S, precision_bits=max(96, precision_bits))
+    min_poly = _theta_min_poly(zeta, pd.theta_interval)
+    d = len(min_poly) - 1
     coords = _normalized_eigenvector(S, min_poly)
 
     # symbolic re-check of the eigen identity on the integer numerators
@@ -374,13 +377,8 @@ def length_identity_defect(flow: SuspensionFlow, v, n: int) -> Fraction:
         el = ZThetaElement(_combine(ab, nums))
         for _ in range(n):
             el = zt_mul_theta(el, flow.min_poly)
-        S = substitution_matrix(flow.zeta)
-        Sn_ab = list(ab)
-        for _ in range(n):
-            Sn_ab = [
-                sum(S[i][j] * Sn_ab[j] for j in range(m)) for i in range(m)
-            ]
-        mat = _combine(Sn_ab, nums)
+        Sn = _count_power(flow.zeta, n)
+        mat = _combine([sum(s * a for s, a in zip(row, ab)) for row in Sn], nums)
         if mat == el.coords:
             return Fraction(0)
         diff = tuple(a - b for a, b in zip(mat, el.coords))
@@ -835,11 +833,8 @@ def eigen2_data(flow: SuspensionFlow) -> Eigen2Data:
     if abs(lam2.imag) > 1e-9:
         raise WrongClass("second eigenvalue is not real")
     t2 = round(float(lam2.real))
-    asc = char_poly(S)
-    acc = 0
-    for c in reversed(asc):
-        acc = acc * t2 + c
-    if acc != 0 or abs(lam2.real - t2) > 1e-6:
+    on_root = _poly_sign_scaled(char_poly(S)[::-1], t2, 1) == 0
+    if not on_root or abs(lam2.real - t2) > 1e-6:
         raise WrongClass(
             "the cocycle path here needs an integer second eigenvalue"
         )
@@ -1106,22 +1101,8 @@ def occupation_times(
 
     if x_anchor == 0:
         blocks, straddle, remaining = _supertile_blocks(flow, tt)
-        S = substitution_matrix(zeta)
-        K = max((level for level, _ in blocks), default=0)
-        powers = [[[1 if i == j else 0 for j in range(m)] for i in range(m)]]
-        for _ in range(K):
-            prev = powers[-1]
-            powers.append(
-                [
-                    [
-                        sum(S[i][k] * prev[k][j] for k in range(m))
-                        for j in range(m)
-                    ]
-                    for i in range(m)
-                ]
-            )
         for level, c in blocks:
-            Pk = powers[level]
+            Pk = _count_power(zeta, level)
             for aa in range(m):
                 out[aa] += Pk[aa][c - 1] * flow.roof[aa]
         if straddle is not None and remaining > 0:
@@ -1157,7 +1138,6 @@ def _frequency_measures(
             r = [-x for x in r]
         tot = sum(x * s for x, s in zip(r, flow.roof))
         return tuple(x * s / tot for x, s in zip(r, flow.roof)), True
-    out = []
     with mp.workprec(200):
         vals = []
         tot = mp.mpf(0)
@@ -1169,11 +1149,7 @@ def _frequency_measures(
             )
             vals.append(v)
             tot += v
-        for v in vals:
-            sign, man, exp, _ = mp.mpf(v / tot)._mpf_
-            f = Fraction(int(man)) * Fraction(2) ** int(exp)
-            out.append(-f if sign else f)
-    return tuple(out), False
+        return tuple(_mpf_to_fraction(v / tot) for v in vals), False
 
 
 def _check_mean_zero(flow: SuspensionFlow, d: Sequence[Fraction]) -> None:

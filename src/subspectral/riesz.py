@@ -58,10 +58,12 @@ from .errors import BudgetExceeded
 from .substitution import (
     Substitution,
     Word,
-    _as_matrix,
+    _count_power,
     _mat_mul,
+    _transpose,
     lengths_at,
     substitution_matrix,
+    tiling_lengths_at,
 )
 
 DEFAULT_PRECISION_BITS = 106  # double-double equivalent
@@ -209,13 +211,14 @@ def _mul(A, B, bits: int):
 @lru_cache(maxsize=4096)
 def _error_units(zeta: Substitution, n: int, bits: int):
     """Entrywise bound E_n, in units 2^-bits, on the error of a depth-n
-    product (any shift, frequency or roof), and (S^T)^n; the recursion of
-    the numerical policy."""
-    St = tuple(zip(*_matrix_power(zeta, 1)))
+    product (any shift, frequency or roof), and (S^T)^n, the transpose of
+    the memoised count-matrix power; the recursion of the numerical
+    policy."""
+    T = _transpose(_count_power(zeta, n))
     if n == 1:
-        return St, St
-    E, T = _error_units(zeta, n - 1, bits)
-    T = _mat_mul(St, T)
+        return T, T
+    St = _transpose(_count_power(zeta, 1))
+    E = _error_units(zeta, n - 1, bits)[0]
     up = (1 << bits) - 1
     E = tuple(
         tuple(f + ((f + up) >> bits) + t + 1 for f, t in zip(f_row, t_row))
@@ -236,29 +239,6 @@ def _validate_roof(zeta: Substitution, roof) -> tuple[Fraction, ...]:
     if any(x <= 0 for x in r):
         raise ValueError("roof values must be strictly positive")
     return r
-
-
-@lru_cache(maxsize=4096)
-def _matrix_power(zeta: Substitution, n: int):
-    S = _as_matrix(substitution_matrix(zeta))
-    acc = tuple(
-        tuple(1 if i == j else 0 for j in range(zeta.m)) for i in range(zeta.m)
-    )
-    for _ in range(n):
-        acc = _mat_mul(acc, S)
-    return acc
-
-
-def tiling_lengths_at(
-    zeta: Substitution, n: int, roof: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    """Weighted length of the n-fold image of each letter: the letter-count
-    vector of the image contracted against the roof."""
-    Sn = _matrix_power(zeta, n)
-    return tuple(
-        sum((roof[i] * Sn[i][c] for i in range(zeta.m)), Fraction(0))
-        for c in range(zeta.m)
-    )
 
 
 @lru_cache(maxsize=4096)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .algebraic import AlgebraicInteger, _root_statuses
+from .algebraic import AlgebraicInteger, _mpf_to_fraction, _root_statuses
 from .errors import (
     NotFound,
     NotMeanZero,
@@ -40,7 +40,6 @@ from .riesz import (
     _unit,
     as_exact,
     shifted_product,
-    tiling_lengths_at,
 )
 from .substitution import (
     Substitution,
@@ -53,6 +52,7 @@ from .substitution import (
     perron_data,
     prefix_suffix_decomposition,
     substitution_matrix,
+    tiling_lengths_at,
 )
 
 # pi^2 rounded up in the last place, so Fejer bounds stay upper bounds
@@ -320,25 +320,16 @@ def dioph_constants(zeta: Substitution, v, k_max: int = 30) -> DiophConstants:
         raise ValueError("k_max must be nonnegative")
     c = _check_return_word(zeta, word)
     m = zeta.m
-    S = substitution_matrix(zeta)
-    St = tuple(tuple(S[j][i] for j in range(m)) for i in range(m))
     R = max(len(im) for im in zeta.images)  # max row sum of S^t
 
-    x = tuple(1 for _ in range(m))
-    c3_values = []
-    for _ in range(k_max + 1):
-        c3_values.append(Fraction(x[c - 1], 2 * m * R * max(x)))
-        x = tuple(sum(St[i][j] * x[j] for j in range(m)) for i in range(m))
+    # |zeta^n(b)| for n <= k_max: the c3 ratios and the length comparisons
+    levels = [lengths_at(zeta, n) for n in range(k_max + 1)]
+    c3_values = [Fraction(x[c - 1], 2 * m * R * max(x)) for x in levels]
 
-    pd = perron_data(S, precision_bits=96)
+    pd = perron_data(substitution_matrix(zeta), precision_bits=96)
     with mp.workprec(160):
-        l_vec = pd.l_vec
-        limit = l_vec[c - 1] / (2 * m * R * max(l_vec))
-        sign, man, exp, _ = mp.mpf(limit)._mpf_
-        man, exp = int(man), int(exp)
-        limit_frac = Fraction(man) * Fraction(2) ** exp
-        if sign:
-            limit_frac = -limit_frac
+        limit = pd.l_vec[c - 1] / (2 * m * R * max(pd.l_vec))
+    limit_frac = _mpf_to_fraction(limit)
     # shave a margin off the eigenvector-based limit: the eigenvector is
     # residual-certified, not interval-certified
     c3_limit = limit_frac * (1 - Fraction(1, 2**20))
@@ -353,8 +344,7 @@ def dioph_constants(zeta: Substitution, v, k_max: int = 30) -> DiophConstants:
     c_upper = None
     rmin_levels = []
     rmax_levels = []
-    for n in range(k_max + 1):
-        lens = lengths_at(zeta, n)
+    for n, lens in enumerate(levels):
         below = min(Fraction(length) / hi**n for length in lens)
         above = max(Fraction(length) / lo**n for length in lens)
         rmin_levels.append(below)

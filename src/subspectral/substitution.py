@@ -8,6 +8,17 @@ The module provides the substitution matrix, primitivity with a witnessing
 power, length/population vectors computed with exact big integers, certified
 Perron-Frobenius data, return-word search, the prefix-suffix numeration of
 fixed-point windows, and an aperiodicity heuristic.
+
+Powers of the count matrix S exist once, in ``_count_power``: an exact,
+memoised S^n built by halving, S^n = S^ceil(n/2) S^floor(n/2), so a cold
+depth-n power costs about log2(n) products and recurses as deep.  The
+expanded lengths |zeta^n(b)| (``lengths_at``), the roof-weighted lengths
+(``tiling_lengths_at``) and the S^T domination behind the transfer-product
+error bounds of ``riesz`` all read it.
+
+``Substitution.apply`` validates its letters; the package's own expansions
+(powers, iterated words, hierarchies, fixed-point prefixes) go through the
+unchecked ``Substitution._expand``.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ __all__ = [
     "is_primitive",
     "iterate_word",
     "lengths_at",
+    "tiling_lengths_at",
     "abelianization",
     "tiling_length",
     "perron_data",
@@ -172,10 +184,21 @@ class Substitution:
         return self.images[a - 1]
 
     def apply(self, word: str | Sequence[int]) -> Word:
-        """One substitution step applied to a word (concatenation of images)."""
+        """One substitution step applied to a word (concatenation of images);
+        ``ValueError`` for a letter outside ``1..m``."""
+        w = as_word(word)
+        if w and not (1 <= min(w) and max(w) <= self.m):
+            bad = next(a for a in w if not 1 <= a <= self.m)
+            raise ValueError(f"letter {bad} outside 1..{self.m}")
+        return self._expand(w)
+
+    def _expand(self, word: Sequence[int]) -> Word:
+        """``apply`` without the letter check, for words over ``1..m`` that
+        the package built itself."""
+        images = self.images
         out: list[int] = []
-        for a in as_word(word):
-            out.extend(self.images[a - 1])
+        for a in word:
+            out.extend(images[a - 1])
         return tuple(out)
 
     def power(self, k: int) -> "Substitution":
@@ -184,7 +207,7 @@ class Substitution:
             raise ValueError(f"power must be >= 1, got {k}")
         images = self.images
         for _ in range(k - 1):
-            images = tuple(self.apply(im) for im in images)
+            images = tuple(self._expand(im) for im in images)
         return Substitution(self.m, images)
 
 
@@ -203,15 +226,10 @@ def _as_matrix(S: Sequence[Sequence[int]]) -> Matrix:
 
 
 def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
     Bc = tuple(zip(*B))
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in Bc) for row in A
     )
-
-
-def _mat_vec(A: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
 
 
 def _transpose(A: Matrix) -> Matrix:
@@ -235,15 +253,6 @@ def char_poly(S: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """
     M = tuple(tuple(Fraction(int(x)) for x in row) for row in S)
     m = len(M)
-    ident = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(m)) for i in range(m)
-    )
-
-    def mul(A, B):
-        Bc = tuple(zip(*B))
-        return tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in Bc) for row in A
-        )
 
     def add_scaled_identity(A, c):
         return tuple(
@@ -258,7 +267,7 @@ def char_poly(S: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Mk = M
     coeffs[m - 1] = -trace(Mk)
     for k in range(2, m + 1):
-        Mk = mul(M, add_scaled_identity(Mk, coeffs[m - k + 1]))
+        Mk = _mat_mul(M, add_scaled_identity(Mk, coeffs[m - k + 1]))
         coeffs[m - k] = -trace(Mk) / k
     out = []
     for c in coeffs:
@@ -298,19 +307,40 @@ def is_primitive(S: Sequence[Sequence[int]]) -> PrimitivityResult:
 # lengths, populations, guarded expansion
 
 
+@lru_cache(maxsize=4096)
+def _count_power(zeta: Substitution, n: int) -> Matrix:
+    """``S^n`` for the count matrix ``S`` of ``zeta``, exact and memoised.
+
+    Built by halving, ``S^n = S^ceil(n/2) S^floor(n/2)``, so a cold call
+    recurses about log2(n) deep and reuses the memoised halves."""
+    if n < 0:
+        raise ValueError("depth must be >= 0")
+    if n == 0:
+        return tuple(tuple(int(i == j) for j in range(zeta.m)) for i in range(zeta.m))
+    if n == 1:
+        return substitution_matrix(zeta)
+    return _mat_mul(_count_power(zeta, n - n // 2), _count_power(zeta, n // 2))
+
+
 def lengths_at(zeta: Substitution, n: int) -> tuple[int, ...]:
     """Vector of expanded lengths ``|zeta^n(b)|`` for ``b = 1..m``.
 
-    Computed as ``(S^t)^n`` applied to the all-ones vector with exact big
-    integers; no word is ever expanded.
+    The column sums ``1^T S^n`` of the memoised count-matrix power
+    ``_count_power``, in exact big integers; no word is ever expanded.
     """
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    St = _transpose(substitution_matrix(zeta))
-    v: tuple[int, ...] = (1,) * zeta.m
-    for _ in range(n):
-        v = _mat_vec(St, v)
-    return v
+    return tuple(map(sum, zip(*_count_power(zeta, n))))
+
+
+def tiling_lengths_at(
+    zeta: Substitution, n: int, roof: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Weighted length of the n-fold image of each letter: ``roof^T S^n``,
+    the letter-count vector of the image contracted against the roof, read
+    from the memoised count-matrix power ``_count_power``."""
+    return tuple(
+        sum((r * x for r, x in zip(roof, col, strict=True)), Fraction(0))
+        for col in zip(*_count_power(zeta, n))
+    )
 
 
 def iterate_word(
@@ -330,7 +360,7 @@ def iterate_word(
         )
     w: Word = (a,)
     for _ in range(n):
-        w = zeta.apply(w)
+        w = zeta._expand(w)
     return w
 
 
@@ -595,12 +625,12 @@ class PrefixSuffixDecomposition:
         for i, u in enumerate(self.prefixes):
             w = u
             for _ in range(i):
-                w = zeta.apply(w)
+                w = zeta._expand(w)
             out.extend(w)
         for i in range(self.n, -1, -1):
             w = self.suffixes[i]
             for _ in range(i):
-                w = zeta.apply(w)
+                w = zeta._expand(w)
             out.extend(w)
         return tuple(out)
 
@@ -611,7 +641,7 @@ def _hierarchy(zeta: Substitution, K: int) -> tuple[tuple[Word, ...], tuple[tupl
     a0, _ = fixed_point_letter(zeta)
     words: list[Word] = [(a0,)]
     for _ in range(K):
-        words.append(zeta.apply(words[-1]))
+        words.append(zeta._expand(words[-1]))
     words.reverse()  # words[j] = zeta^(K-j)(a0); words[0] is the full expansion
     boundaries: list[tuple[int, ...]] = []
     for j in range(K):
@@ -787,7 +817,7 @@ def fixed_point_prefix(zeta: Substitution, length: int) -> Word:
     w: Word = (a,)
     guard = 0
     while len(w) < length:
-        nxt = zk.apply(w)
+        nxt = zk._expand(w)
         if len(nxt) == len(w):
             raise NotFound("substitution does not expand; no infinite fixed point")
         w = nxt[: max(length, 1)]

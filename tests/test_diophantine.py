@@ -178,6 +178,26 @@ class TestPisotSequence:
             assert seq.K[0] == 1  # 0.75 rounds to 1
             assert seq.eps[0] == Fraction(-1, 4)
 
+    @pytest.mark.parametrize("t", [mp.inf, -mp.inf, mp.nan])
+    def test_non_finite_mpf_t_is_refused(self, running, t):
+        with pytest.raises(ValueError):
+            pisot_sequence(running, t, 5)
+        with pytest.raises(ValueError):
+            prop_alg_product(running, t, 20)
+        with pytest.raises(ValueError):
+            window_escape_check(running, t, k_max=4)
+
+    @pytest.mark.parametrize(
+        "t", [mp.mpf("0.75"), mp.mpf(3) / 7, mp.mpf(2) ** 100 / 3 + 1]
+    )
+    def test_finite_mpf_t_equals_its_fraction(self, running, t):
+        sign, man, exp, _ = t._mpf_
+        f = Fraction(int(man)) * Fraction(2) ** int(exp) * (-1 if sign else 1)
+        assert pisot_sequence(running, t, 12) == pisot_sequence(running, f, 12)
+        assert prop_alg_product(running, t, 30) == prop_alg_product(running, f, 30)
+        got = window_escape_check(running, t, k_max=6)
+        assert got == window_escape_check(running, f, k_max=6)
+
     def test_ring_element_t_shifts_by_one(self, running):
         base = pisot_sequence(running, 1, 11)
         shifted = pisot_sequence(running, ZThetaElement((0, 1)), 10)

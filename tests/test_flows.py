@@ -8,6 +8,7 @@ substitutions."""
 
 import cmath
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -148,6 +149,30 @@ class TestSelfSimilarRoof:
         flow = self_similar_roof(DOUBLING)
         assert flow.roof == (Fraction(1),)
         assert flow.self_similar
+
+    @pytest.mark.parametrize(
+        "zeta", [RUNNING3, SYMMETRIC, FIBONACCI], ids=["running3", "sym", "fib"]
+    )
+    def test_one_perron_certificate_per_roof(self, zeta, monkeypatch):
+        import subspectral.flows as fl
+
+        calls = []
+        real = fl.perron_data
+
+        def spy(S, precision_bits=64):
+            calls.append(precision_bits)
+            return real(S, precision_bits)
+
+        monkeypatch.setattr(fl, "perron_data", spy)
+        flow = self_similar_roof(zeta, 200)
+        assert calls == [200]
+        # the zeta-only form certifies its own 96-bit bracket
+        minpoly = fl._theta_min_poly
+        assert minpoly(zeta) == flow.min_poly
+        assert calls == [200, 96]
+        # the roof of the two-certificate route pickles to the same bytes
+        monkeypatch.setattr(fl, "_theta_min_poly", lambda z, bracket=None: minpoly(z))
+        assert pickle.dumps(self_similar_roof(zeta, 200)) == pickle.dumps(flow)
 
     def test_not_primitive_refused(self):
         bad = Substitution.from_images(["1", "22"])

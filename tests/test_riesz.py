@@ -37,6 +37,7 @@ from subspectral.riesz import (
 from subspectral.substitution import (
     Substitution,
     _as_matrix,
+    _count_power,
     _transpose,
     iterate_word,
     lengths_at,
@@ -444,7 +445,7 @@ class TestIntegerKernel:
     @staticmethod
     def oracle_slack(zeta, n, bits):
         # the reference's own error, in units 2^-bits, far below one unit
-        top = max(map(sum, _as_matrix(riesz._matrix_power(zeta, n))))
+        top = max(map(sum, _as_matrix(_count_power(zeta, n))))
         return Fraction((n + 1) * top, 2 ** (bits + 24))
 
     @pytest.mark.parametrize("bits", [64, 106, 400])

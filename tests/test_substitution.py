@@ -76,6 +76,22 @@ def test_apply_and_power():
     assert z2.images[1] == (1, 2, 2, 2)
 
 
+@pytest.mark.parametrize("word", [(0,), (-1, 2), (3,), (1, 2, 3), (2, -5)])
+def test_apply_refuses_letters_outside_the_alphabet(word):
+    bad = next(a for a in word if not 1 <= a <= 2)
+    with pytest.raises(ValueError, match=f"^letter {bad} outside 1..2$"):
+        CUBIC.apply(word)
+    # the same message as iterate_word's
+    with pytest.raises(ValueError, match=f"^letter {bad} outside 1..2$"):
+        iterate_word(CUBIC, bad, 1)
+
+
+def test_apply_accepts_the_empty_word_and_strings():
+    assert CUBIC.apply(()) == ()
+    assert CUBIC.apply("") == ()
+    assert SYMM.apply("21") == (1, 2, 2, 2, 1, 1, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # matrix, primitivity
 
