@@ -93,8 +93,10 @@ EXIT_HYPOTHESIS = 2
 EXIT_PRECISION = 3
 EXIT_CONFIG = 4
 
-# The multiprecision library keeps its working precision on a process-global
-# context, so concurrent grid workers must not interleave inside it.
+# mpmath keeps its working precision on one process-global context.  In a
+# ``spectral`` row only the cold ``perron_data`` call behind
+# ``spectral._perron_theta`` sets it; the product and ball bounds are exact
+# Fraction/float arithmetic and the riesz kernel reads no global context.
 _NUMERIC_LOCK = threading.Lock()
 
 
@@ -341,9 +343,9 @@ def cmd_spectral(args) -> int:
 
     def one(om: Fraction):
         try:
-            # the multiprecision working context is process-global, so the
-            # numeric kernel serializes on a lock: results are bit-identical
-            # for every thread count, which the CSV contract requires
+            # the cold perron_data call inside local_dimension_bound sets
+            # mpmath's process-global precision; under the lock the rows are
+            # bit-identical for every thread count, as the CSV contract requires
             with _NUMERIC_LOCK:
                 dp = dioph_product_bound(zp, rw.v, om, n, consts)
                 sb = spectral_ball_bound(zp, om, r, consts)
@@ -684,23 +686,12 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
         parser.add_argument("--config", required=True, help="substitution config JSON")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker pool size for grid tasks; output order and bytes are "
-        "independent of this value (the numeric kernel serializes on a "
-        "process-wide lock)",
-    )
-    parser.add_argument(
         "--precision-bits",
         type=int,
         default=None,
         help="working precision in bits; for spectral, the transfer products "
         "run at scale 2^-P (default 106)",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="window jitter only")
-    parser.add_argument("--diagnostic", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -716,6 +707,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", help="product/ball/dimension table")
     _add_common(p_spec)
+    p_spec.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker pool size for the grid rows; output order and bytes are "
+        "independent of this value (each row runs under a process-wide lock)",
+    )
     p_spec.add_argument("--omega-grid", required=True,
                         help="comma list or linspace:lo:hi:count")
     p_spec.add_argument("--n", type=int, default=12)
@@ -748,6 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
         "subcommand", choices=("sequence", "product", "windows", "ek")
     )
     _add_common(p_dioph, config=False)
+    p_dioph.add_argument("--seed", type=int, default=0,
+                         help="probe jitter of windows only")
+    p_dioph.add_argument("--diagnostic", action="store_true")
     p_dioph.add_argument("--poly", required=True,
                          help="monic integer coefficients, descending")
     p_dioph.add_argument("--t", default="1")

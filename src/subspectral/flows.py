@@ -65,8 +65,11 @@ from .riesz import as_exact
 from .spectral import (
     PI_SQUARED_UPPER,
     DiophConstants,
-    _check_return_word,
     _dist_to_int,
+    _distance_product,
+    _level_distances,
+    _prefactors,
+    _product_depth,
     dioph_constants,
 )
 from .substitution import (
@@ -81,6 +84,7 @@ from .substitution import (
     is_primitive,
     lengths_at,
     perron_data,
+    return_word_power,
     substitution_matrix,
     tiling_lengths_at,
 )
@@ -543,12 +547,9 @@ def flow_dioph_constants(
     base = dioph_constants(flow.zeta, v, k_max=k_max)
     c_lower = base.c_lower * flow.min_roof
     c_upper = base.c_upper * flow.max_roof
-    lo = flow.theta_interval[0]
-    hi = flow.theta_interval[1]
-    C2 = math.log(float(2 * c_upper)) / math.log(float(lo)) + 1
-    Cprime = c_upper / c_lower
+    lo, hi = flow.theta_interval
     L = max(len(im) for im in flow.zeta.images)
-    Cpp = 4 * L * c_upper * hi * Cprime / (c_lower * (lo - 1))
+    Cprime, C2, Cpp = _prefactors(c_lower, c_upper, lo, hi, L)
     return replace(
         base,
         Cprime=Cprime,
@@ -622,37 +623,18 @@ def flow_product_bound(
     RR = as_exact(R)
     if RR <= 0:
         raise ValueError("R must be positive")
-    n_star = math.floor(
-        math.log(float(RR)) / math.log(consts.theta) - consts.C2 - 1e-9
-    )
+    n_star = _product_depth(RR, consts.theta, consts.C2)
     exact_path = (
         flow.s_coords is not None
         and flow.min_poly is not None
         and len(flow.min_poly) - 1 >= 2
     )
-    if n_star < 0:
-        return FlowProductBound(
-            omega=om,
-            R=RR,
-            n_star=n_star,
-            distances=(),
-            product=Fraction(1),
-            bound=consts.Cpp * RR,
-            exact_path=exact_path,
-        )
-    count = n_star + 1
-    if exact_path:
+    count = max(0, n_star + 1)
+    if exact_path and count:
         dists = _self_similar_distances(flow, word, om, count)
     else:
-        ab = abelianization(word, flow.zeta.m)
-        dists = []
-        for k in range(count):
-            lens = level_lengths(flow, k)
-            Lk = sum(ab[i] * lens[i] for i in range(flow.zeta.m))
-            dists.append(_dist_to_int(om * Lk))
-    product = Fraction(1)
-    for dd in dists:
-        product *= 1 - consts.c1 * dd * dd
+        _, dists = _level_distances(flow.zeta, word, om, count, flow.roof)
+    _, product = _distance_product(consts.c1, dists)
     return FlowProductBound(
         omega=om,
         R=RR,
@@ -732,18 +714,7 @@ def log_holder_certificate(
         zeta_power = rw.power
     else:
         word = as_word(v)
-        zeta_power = 1
-        while True:
-            try:
-                _check_return_word(
-                    flow.zeta.power(zeta_power) if zeta_power > 1 else flow.zeta,
-                    word,
-                )
-                break
-            except NotFound:
-                zeta_power += 1
-                if zeta_power > 12:
-                    raise
+        zeta_power = return_word_power(flow.zeta, word, power_cap=12)
     zeta_p = flow.zeta.power(zeta_power) if zeta_power > 1 else flow.zeta
     flow_p = SuspensionFlow(
         zeta=zeta_p,

@@ -68,7 +68,7 @@ from .substitution import (
 
 DEFAULT_PRECISION_BITS = 106  # double-double equivalent
 _GUARD_BITS = 16  # extra bits for each cosine and sine before rounding to 2^-P
-_STRIDE = 64  # a cold prefix lookup recurses at most this many depths
+_STRIDE = 64  # a cold prefix or error-bound lookup recurses at most this many depths
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,14 @@ def _error_units(zeta: Substitution, n: int, bits: int):
     """Entrywise bound E_n, in units 2^-bits, on the error of a depth-n
     product (any shift, frequency or roof), and (S^T)^n, the transpose of
     the memoised count-matrix power; the recursion of the numerical
-    policy."""
+    policy.  A cold depth first fills depth n - ``_STRIDE``, so the step
+    recursion below stays within ``_STRIDE`` levels and a cold depth-n call
+    nests about n / ``_STRIDE`` + ``_STRIDE`` calls deep."""
     T = _transpose(_count_power(zeta, n))
     if n == 1:
         return T, T
+    if n > _STRIDE:
+        _error_units(zeta, n - _STRIDE, bits)
     St = _transpose(_count_power(zeta, 1))
     E = _error_units(zeta, n - 1, bits)[0]
     up = (1 << bits) - 1

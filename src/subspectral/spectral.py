@@ -14,6 +14,12 @@ S_N^x(f, omega) = sum_a d_a Phi_a(x[0, N-1], omega) for f = sum_a d_a 1_[a].
 All fractional-part computations run in exact rational arithmetic (floats
 are converted to the exact dyadic rationals they denote), so the certified
 product bounds contain no rounding leaps of faith.
+
+The return-word certificates here and in ``flows`` share four helpers:
+``_level_distances`` (the lengths L_k = |zeta^k(v)|, plain or roof-weighted,
+and their distances ||omega L_k||), ``_distance_product`` (prod 1 - c1 d^2),
+``_product_depth`` (n* = floor(log_theta R - C2)) and ``_prefactors`` (C',
+C2, C'').  ``return_word_power`` is re-exported from ``substitution``.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from .riesz import (
 from .substitution import (
     Substitution,
     Word,
+    _extended_return_word,
+    _first_image_without,
     abelianization,
     as_word,
     char_poly,
@@ -51,6 +59,7 @@ from .substitution import (
     lengths_at,
     perron_data,
     prefix_suffix_decomposition,
+    return_word_power,
     substitution_matrix,
     tiling_lengths_at,
 )
@@ -262,63 +271,23 @@ class DiophConstants:
     tail_certified: bool
 
 
-def _check_return_word(zeta: Substitution, v: Word) -> int:
-    c = v[0]
-    if c in v[1:]:
-        raise ValueError(
-            "a return word contains its first letter exactly once"
-        )
-    for letter in v:
-        if not 1 <= letter <= zeta.m:
-            raise ValueError(f"letter {letter} outside alphabet 1..{zeta.m}")
-    vc = v + (c,)
-    for b in range(1, zeta.m + 1):
-        im = zeta.images[b - 1]
-        if not any(im[i : i + len(vc)] == vc for i in range(len(im) - len(vc) + 1)):
-            raise NotFound(
-                f"the extended return word must occur inside every letter "
-                f"image; it is missing from the image of {b} — replace the "
-                f"substitution by a suitable power first"
-            )
-    return c
-
-
-def return_word_power(zeta: Substitution, v, power_cap: int = 24) -> int:
-    """Smallest power of the substitution under which the extended return
-    word occurs inside every letter image."""
-    word = as_word(v)
-    c = word[0]
-    if c in word[1:]:
-        raise ValueError("a return word contains its first letter exactly once")
-    vc = word + (c,)
-    from .substitution import iterate_word
-
-    for p in range(1, power_cap + 1):
-        ok = True
-        for b in range(1, zeta.m + 1):
-            im = iterate_word(zeta, b, p, max_len=10**7)
-            if not any(
-                im[i : i + len(vc)] == vc for i in range(len(im) - len(vc) + 1)
-            ):
-                ok = False
-                break
-        if ok:
-            return p
-    raise NotFound(f"no witnessing power up to {power_cap}")
-
-
 def dioph_constants(zeta: Substitution, v, k_max: int = 30) -> DiophConstants:
     """Certified constants for the return-word product bound.
 
     Requires the extended return word to occur in every letter image (pass
     to a power of the substitution first if needed; see
     ``return_word_power``)."""
-    word = as_word(v)
-    if not word:
-        raise ValueError("the return word must be nonempty")
+    vc = _extended_return_word(zeta, v)
+    word, c = vc[:-1], vc[0]
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    c = _check_return_word(zeta, word)
+    missing = _first_image_without(zeta.images, vc)
+    if missing is not None:
+        raise NotFound(
+            f"the extended return word must occur inside every letter "
+            f"image; it is missing from the image of {missing} — replace the "
+            f"substitution by a suitable power first"
+        )
     m = zeta.m
     R = max(len(im) for im in zeta.images)  # max row sum of S^t
 
@@ -365,10 +334,7 @@ def dioph_constants(zeta: Substitution, v, k_max: int = 30) -> DiophConstants:
         and _settled(rmax_levels)
     )
 
-    Cprime = c_upper / c_lower
-    C2 = math.log(float(2 * c_upper)) / math.log(float(lo)) + 1
-    L = R
-    Cpp = 4 * L * c_upper * hi * Cprime / (c_lower * (lo - 1))
+    Cprime, C2, Cpp = _prefactors(c_lower, c_upper, lo, hi, R)
 
     return DiophConstants(
         c1=c1,
@@ -388,18 +354,44 @@ def dioph_constants(zeta: Substitution, v, k_max: int = 30) -> DiophConstants:
     )
 
 
-def _word_level_lengths(
-    zeta: Substitution, v: Word, n: int, roof: Sequence | None
-) -> list:
-    """|zeta^k(v)| for k < n — integers, or exact tiling lengths with a roof."""
+def _prefactors(
+    c_lower: Fraction, c_upper: Fraction, lo: Fraction, hi: Fraction, L: int
+) -> tuple[Fraction, float, Fraction]:
+    """``(Cprime, C2, Cpp)`` from the bounds c_lower <= |zeta^n(b)| /
+    theta^n <= c_upper, theta in [lo, hi] and the longest image length L."""
+    Cprime = c_upper / c_lower
+    C2 = math.log(float(2 * c_upper)) / math.log(float(lo)) + 1
+    Cpp = 4 * L * c_upper * hi * Cprime / (c_lower * (lo - 1))
+    return Cprime, C2, Cpp
+
+
+def _product_depth(R, theta: float, C2: float) -> int:
+    """The product depth n* = floor(log_theta R - C2) at horizon R, biased
+    down: dropping a factor only weakens the bound, keeping one too many
+    could falsify it."""
+    return math.floor(math.log(float(R)) / math.log(theta) - C2 - 1e-9)
+
+
+def _level_distances(
+    zeta: Substitution, v: Word, omega: Fraction, n: int, roof: Sequence | None = None
+) -> tuple[list, list[Fraction]]:
+    """The lengths L_k = |zeta^k(v)| for k < n (integers, or exact tiling
+    lengths with a roof) and their exact distances ||omega L_k||."""
     ab = abelianization(v, zeta.m)
-    out = []
+    rf = None if roof is None else tuple(as_exact(s) for s in roof)
+    lens = []
     for k in range(n):
-        lens = lengths_at(zeta, k) if roof is None else tiling_lengths_at(
-            zeta, k, tuple(as_exact(s) for s in roof)
-        )
-        out.append(sum(ab[i] * lens[i] for i in range(zeta.m)))
-    return out
+        level = lengths_at(zeta, k) if rf is None else tiling_lengths_at(zeta, k, rf)
+        lens.append(sum(ab[i] * level[i] for i in range(zeta.m)))
+    return lens, [_dist_to_int(omega * L) for L in lens]
+
+
+def _distance_product(
+    c1: Fraction, distances: Sequence[Fraction]
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The factors 1 - c1 d^2 over the distances and their exact product."""
+    factors = tuple(1 - c1 * d * d for d in distances)
+    return factors, math.prod(factors, start=Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -427,7 +419,8 @@ def dioph_product_bound(
     consts: DiophConstants,
     roof: Sequence | None = None,
 ) -> DiophProduct:
-    """Exact-rational evaluation of the return-word product bound."""
+    """Exact-rational evaluation of the return-word product bound, from
+    ``_level_distances`` and ``_distance_product``."""
     word = as_word(v)
     if word != consts.v:
         raise ValueError("the return word must match the constants")
@@ -435,12 +428,8 @@ def dioph_product_bound(
         raise ValueError("n must be nonnegative")
     om = as_exact(omega)
     rf = None if roof is None else tuple(as_exact(s) for s in roof)
-    lens = _word_level_lengths(zeta, word, n, rf)
-    distances = tuple(_dist_to_int(om * L) for L in lens)
-    factors = tuple(1 - consts.c1 * d * d for d in distances)
-    product = Fraction(1)
-    for f in factors:
-        product *= f
+    lens, distances = _level_distances(zeta, word, om, n, rf)
+    factors, product = _distance_product(consts.c1, distances)
     # the counting side is always the integer tile count: the matrix
     # recursion bounds cardinalities, the roof only enters the phases
     level_n = lengths_at(zeta, n)
@@ -449,7 +438,7 @@ def dioph_product_bound(
         omega=om,
         n=n,
         lengths=tuple(lens),
-        distances=distances,
+        distances=tuple(distances),
         factors=factors,
         product=product,
         per_letter=per_letter,
@@ -466,24 +455,15 @@ def birkhoff_sup_bound(
 ) -> Fraction:
     """Uniform-in-x upper bound Cpp * N * prod(...) for |S_N(1_[a], omega)|.
 
-    The product depth is floor(log_theta N - C2), conservatively rounded
-    down (an earlier cutoff only weakens the bound, never falsifies it)."""
+    The product runs over the levels k <= n* of ``_product_depth``, n* =
+    floor(log_theta N - C2) conservatively rounded down (an earlier cutoff
+    only weakens the bound, never falsifies it); it equals
+    ``dioph_product_bound(..., n* + 1).product``."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    om = as_exact(omega)
-    lo_theta = math.log(float(N)) / math.log(consts.theta)
-    # bias the cutoff down: dropping a factor only weakens the bound,
-    # keeping one too many could falsify it
-    n_star = math.floor(lo_theta - consts.C2 - 1e-9)
-    if n_star < 0:
-        return consts.Cpp * N
-    word = consts.v
-    lens = _word_level_lengths(zeta, word, n_star + 1, None)
-    product = Fraction(1)
-    for L in lens:
-        d = _dist_to_int(om * L)
-        product *= 1 - consts.c1 * d * d
-    return consts.Cpp * N * product
+    n_star = _product_depth(N, consts.theta, consts.C2)
+    _, dists = _level_distances(zeta, consts.v, as_exact(omega), max(0, n_star + 1))
+    return consts.Cpp * N * _distance_product(consts.c1, dists)[1]
 
 
 @dataclass(frozen=True)
@@ -587,9 +567,7 @@ def gamma_frequency(
         raise ValueError("delta must lie in (0, 1/2]")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rf = None if roof is None else tuple(as_exact(s) for s in roof)
-    lens = _word_level_lengths(zeta, word, n_max, rf)
-    dists = [_dist_to_int(om * L) for L in lens]
+    _, dists = _level_distances(zeta, word, om, n_max, roof)
     counts = []
     running = 0
     for d in dists:
@@ -667,12 +645,8 @@ def eigenvalue_test(
     om = as_exact(omega)
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    rf = None if roof is None else tuple(as_exact(s) for s in roof)
-    lens = _word_level_lengths(zeta, word, n_max, rf)
-    terms = []
-    for L in lens:
-        d = _dist_to_int(om * L)
-        terms.append(d * d)
+    _, dists = _level_distances(zeta, word, om, n_max, roof)
+    terms = [d * d for d in dists]
     partial = []
     acc = Fraction(0)
     for t in terms:

@@ -19,6 +19,10 @@ error bounds of ``riesz`` all read it.
 ``Substitution.apply`` validates its letters; the package's own expansions
 (powers, iterated words, hierarchies, fixed-point prefixes) go through the
 unchecked ``Substitution._expand``.
+
+The one return-word power search is ``return_word_power``: the smallest p
+with v + c inside every zeta^p(b).  It refuses (``BudgetExceeded``) before
+building a longest image of more than ``_EXPANSION_BUDGET`` = 10^7 letters.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "tiling_length",
     "perron_data",
     "find_return_word",
+    "return_word_power",
     "prefix_suffix_decomposition",
     "is_aperiodic_heuristic",
     "fixed_point_letter",
@@ -99,27 +104,23 @@ def as_word(w: str | Sequence[int]) -> Word:
     return tuple(int(a) for a in w)
 
 
-def _word_bytes(word: Word) -> bytes | None:
-    """Words over alphabets with < 256 letters as bytes, for fast searching."""
-    if all(1 <= a <= 255 for a in word):
+def _searchable(word: Word) -> bytes | Word:
+    """A word as bytes when every letter fits in one byte, for the fast
+    substring search of ``_find``; otherwise the word itself."""
+    try:
         return bytes(word)
-    return None
+    except ValueError:
+        return word
 
 
-def _contains(hay: Word, needle: Word) -> bool:
-    hb, nb = _word_bytes(hay), _word_bytes(needle)
-    if hb is not None and nb is not None:
-        return nb in hb
-    n, h = len(needle), len(hay)
-    return any(hay[i : i + n] == needle for i in range(h - n + 1))
-
-
-def _find(hay: Word, needle: Word) -> int:
-    hb, nb = _word_bytes(hay), _word_bytes(needle)
-    if hb is not None and nb is not None:
-        return hb.find(nb)
-    n, h = len(needle), len(hay)
-    for i in range(h - n + 1):
+def _find(hay: bytes | Word, needle: bytes | Word) -> int:
+    """First position of ``needle`` in ``hay`` (both from ``_searchable``),
+    or -1."""
+    if isinstance(hay, bytes) and isinstance(needle, bytes):
+        return hay.find(needle)
+    hay, needle = tuple(hay), tuple(needle)
+    n = len(needle)
+    for i in range(len(hay) - n + 1):
         if hay[i : i + n] == needle:
             return i
     return -1
@@ -546,6 +547,60 @@ class ReturnWord(NamedTuple):
     power: int
 
 
+_EXPANSION_BUDGET = 10**7  # letters in the longest image the search builds
+
+
+def _extended_return_word(zeta: Substitution, v: str | Sequence[int]) -> Word:
+    """``v + c`` for a return word ``v`` with first letter ``c``;
+    ``ValueError`` unless ``v`` is a nonempty word over ``1..m`` holding
+    ``c`` once."""
+    word = as_word(v)
+    if not word:
+        raise ValueError("the return word must be nonempty")
+    c = word[0]
+    if c in word[1:]:
+        raise ValueError("a return word contains its first letter exactly once")
+    for letter in word:
+        if not 1 <= letter <= zeta.m:
+            raise ValueError(f"letter {letter} outside alphabet 1..{zeta.m}")
+    return word + (c,)
+
+
+def _first_image_without(images: Sequence[Word], vc: Word) -> int | None:
+    """The first letter ``b`` whose word ``images[b-1]`` does not contain
+    ``vc``, or None when every one does."""
+    needle = _searchable(vc)
+    for b, im in enumerate(images, start=1):
+        if _find(_searchable(im), needle) < 0:
+            return b
+    return None
+
+
+def return_word_power(
+    zeta: Substitution, v: str | Sequence[int], power_cap: int = 24
+) -> int:
+    """Smallest power ``p <= power_cap`` with ``v + c`` inside every
+    ``zeta^p(b)``, ``c`` the first letter of the return word ``v``.
+
+    The images grow one level at a time, zeta^p(b) = zeta(zeta^(p-1)(b));
+    an expansion whose longest image (from ``lengths_at``) would pass
+    ``_EXPANSION_BUDGET`` letters raises ``BudgetExceeded`` instead.
+    ``ValueError`` for an invalid return word, ``NotFound`` past the cap."""
+    vc = _extended_return_word(zeta, v)
+    images: tuple[Word, ...] = tuple((b,) for b in range(1, zeta.m + 1))
+    for p in range(1, power_cap + 1):
+        longest = max(lengths_at(zeta, p))
+        if longest > _EXPANSION_BUDGET:
+            raise BudgetExceeded(
+                f"max |zeta^{p}(b)| = {longest} exceeds the budget "
+                f"{_EXPANSION_BUDGET}"
+            )
+        images = tuple(zeta._expand(w) for w in images)
+        if _first_image_without(images, vc) is None:
+            return p
+    raise NotFound(f"no witnessing power up to {power_cap}")
+
+
 def find_return_word(
     zeta: Substitution, budget: int = 64, power_cap: int = 40
 ) -> ReturnWord:
@@ -553,12 +608,12 @@ def find_return_word(
 
     Searches, in increasing word length, for a word ``v`` starting with a
     letter ``c``, containing no other ``c``, with ``v + c`` a factor of the
-    language; the witnessing power is the smallest ``p`` for which ``v + c``
-    occurs inside the expansion of every letter at depth ``p`` (so the
-    substitution may be replaced by that power).  Candidates are read off a
-    sample expansion of letter 1 at least ten times longer than the budget;
-    ties break by shortest ``v``, then smallest ``c``, then lexicographic
-    order.  Raises ``NotFound`` when the budget is exhausted.
+    language; the witnessing power is ``return_word_power(zeta, v,
+    power_cap)``, and a candidate without one (``NotFound``) or whose images
+    pass the expansion budget (``BudgetExceeded``) is skipped.  Candidates
+    are read off a sample expansion of letter 1 at least ten times longer
+    than the budget; ties break by shortest ``v``, then smallest ``c``, then
+    lexicographic order.  Raises ``NotFound`` when the budget is exhausted.
     """
     prim = is_primitive(substitution_matrix(zeta))
     if not prim.primitive:
@@ -568,17 +623,8 @@ def find_return_word(
     K = 0
     while max(lengths_at(zeta, K)) < want and K < 64:
         K += 1
-    text = iterate_word(zeta, 1, K, max_len=10**7)
-
-    # Lazily expanded per-letter words at increasing depth.
-    expansions: dict[int, list[Word]] = {}
-
-    def letters_at(p: int) -> list[Word]:
-        if p not in expansions:
-            expansions[p] = [
-                iterate_word(zeta, b, p, max_len=10**7) for b in range(1, zeta.m + 1)
-            ]
-        return expansions[p]
+    text = iterate_word(zeta, 1, K, max_len=_EXPANSION_BUDGET)
+    hay = _searchable(text)
 
     for length in range(1, budget + 1):
         candidates: set[tuple[int, Word]] = set()
@@ -587,16 +633,13 @@ def find_return_word(
             c = v[0]
             if c in v[1:]:
                 continue
-            if _contains(text, v + (c,)):
+            if _find(hay, _searchable(v + (c,))) >= 0:
                 candidates.add((c, v))
         for c, v in sorted(candidates):
-            vc = v + (c,)
-            for p in range(1, power_cap + 1):
-                if min(lengths_at(zeta, p)) > 10**7:
-                    break
-                words = letters_at(p)
-                if all(_contains(w, vc) for w in words):
-                    return ReturnWord(v=v, c=c, power=p)
+            try:
+                return ReturnWord(v, c, return_word_power(zeta, v, power_cap))
+            except (NotFound, BudgetExceeded):
+                pass
     raise NotFound(f"no return word found within length budget {budget}")
 
 
@@ -697,7 +740,7 @@ def prefix_suffix_decomposition(
     q = -1
     for extra in range(9):
         words, boundaries = _hierarchy(zeta, K + extra)
-        q = _find(words[0], word)
+        q = _find(_searchable(words[0]), _searchable(word))
         if q >= 0:
             K = K + extra
             break

@@ -33,6 +33,51 @@ def read_csv(path):
     return [line.split(",") for line in lines]
 
 
+class TestFlagScope:
+    """Each flag is registered only on the command that reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inspect", "--config", "{cfg}"],
+            ["spectral", "--config", "{cfg}", "--omega-grid", "0"],
+            ["flow", "log-holder", "--config", "{cfg}"],
+            ["dioph", "sequence", "--poly", "1,-1,-3"],
+            ["bernoulli", "nondecay", "--poly", "1,-1,-1"],
+        ],
+        ids=["inspect", "spectral", "flow", "dioph", "bernoulli"],
+    )
+    def test_unread_flags_are_refused(self, cfg, capsys, argv):
+        path = cfg(RUNNING)
+        argv = [path if a == "{cfg}" else a for a in argv]
+        read = {"spectral": {"--threads"}, "dioph": {"--seed", "--diagnostic"}}
+        for flag, value in (("--threads", "2"), ("--seed", "1"), ("--diagnostic", None)):
+            if flag in read.get(argv[0], ()):
+                continue
+            extra = [flag] if value is None else [flag, value]
+            assert main(argv + extra) == 4
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_manifests_hold_only_read_flags(self, cfg, tmp_path):
+        runs = {
+            "inspect": ["inspect", "--config", cfg(RUNNING)],
+            "spectral": ["spectral", "--config", cfg(RUNNING), "--omega-grid", "0",
+                         "--n", "3"],
+            "dioph": ["dioph", "sequence", "--poly", "1,-1,-3", "--N", "5"],
+        }
+        keys = {}
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            keys[name] = {"threads", "seed", "diagnostic"} & set(manifest["parameters"])
+        assert keys == {
+            "inspect": set(),
+            "spectral": {"threads"},
+            "dioph": {"seed", "diagnostic"},
+        }
+
+
 class TestInspect:
     def test_running_example(self, cfg, tmp_path, capsys):
         out = tmp_path / "out"

@@ -213,6 +213,16 @@ def test_error_units_match_reference(zeta, bits):
         assert riesz._error_units(zeta, n, bits) == ref_error_units(zeta, n, bits)
 
 
+def test_cold_deep_error_units_fill_in_strides():
+    # one recursion level per depth would pass the interpreter's limit here
+    riesz._error_units.cache_clear()
+    cold = riesz._error_units(THUE_MORSE, 1100, 106)
+    riesz._error_units.cache_clear()
+    for n in range(1, 1101):
+        warm = riesz._error_units(THUE_MORSE, n, 106)
+    assert cold == warm == ref_error_units(THUE_MORSE, 1100, 106)
+
+
 @ALL
 def test_dioph_constants_c3_match_x_chain(zeta):
     rw = find_return_word(zeta)
