@@ -22,7 +22,6 @@ import json
 import math
 import random
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -62,6 +61,7 @@ from .flows import (
 )
 from .riesz import DEFAULT_PRECISION_BITS
 from .spectral import (
+    _perron_theta,
     dioph_constants,
     dioph_product_bound,
     local_dimension_bound,
@@ -92,13 +92,6 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_PRECISION = 3
 EXIT_CONFIG = 4
-
-# mpmath keeps its working precision on one process-global context.  In a
-# ``spectral`` row only the cold ``perron_data`` call behind
-# ``spectral._perron_theta`` sets it; the product and ball bounds are exact
-# Fraction/float arithmetic and the riesz kernel reads no global context.
-_NUMERIC_LOCK = threading.Lock()
-
 
 # ---------------------------------------------------------------------------
 # formatting and parsing helpers
@@ -343,15 +336,11 @@ def cmd_spectral(args) -> int:
 
     def one(om: Fraction):
         try:
-            # the cold perron_data call inside local_dimension_bound sets
-            # mpmath's process-global precision; under the lock the rows are
-            # bit-identical for every thread count, as the CSV contract requires
-            with _NUMERIC_LOCK:
-                dp = dioph_product_bound(zp, rw.v, om, n, consts)
-                sb = spectral_ball_bound(zp, om, r, consts)
-                ld = local_dimension_bound(
-                    zeta, om, n_max=max(10, 4 * n), precision_bits=bits
-                )
+            dp = dioph_product_bound(zp, rw.v, om, n, consts)
+            sb = spectral_ball_bound(zp, om, r, consts)
+            ld = local_dimension_bound(
+                zeta, om, n_max=max(10, 4 * n), precision_bits=bits
+            )
             bound_max = max(dp.per_letter)
             return (
                 om,
@@ -370,6 +359,8 @@ def cmd_spectral(args) -> int:
         except PrecisionExhausted as exc:
             return (om, n, f"PrecisionExhausted: {exc}") + (None,) * 9
 
+    # theta first: its cold perron_data call sets mpmath's global precision
+    _perron_theta(zeta)
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(one, grid))
@@ -712,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker pool size for the grid rows; output order and bytes are "
-        "independent of this value (each row runs under a process-wide lock)",
+        "independent of this value",
     )
     p_spec.add_argument("--omega-grid", required=True,
                         help="comma list or linspace:lo:hi:count")

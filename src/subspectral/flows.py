@@ -14,7 +14,9 @@ and the zero-frequency scaling experiment.
 
 Orbit anchors are encoded as (tile offset into the canonical fixed point,
 time offset inside that tile); window averaging along one orbit stands in
-for invariant-measure sampling, which unique ergodicity justifies.
+for invariant-measure sampling, which unique ergodicity justifies.  The
+growth cocycle and the occupation times read one block source,
+``_orbit_blocks``: supertiles at anchor 0, a walk of level-0 tiles elsewhere.
 
 Exact time.  Tile walks (twisted ergodic integrals, and occupation times
 and the growth cocycle at positive anchors) keep time on one integer
@@ -34,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -843,16 +846,6 @@ def eigen2_data(flow: SuspensionFlow) -> Eigen2Data:
     return Eigen2Data(theta2=theta2, e2=e2v, e2_star=e2_star)
 
 
-def _fixed_point_start(zeta: Substitution) -> int:
-    a, k = fixed_point_letter(zeta)
-    if k != 1:
-        raise NotFound(
-            "the canonical fixed point needs a power of the substitution; "
-            "pass zeta.power(k) instead"
-        )
-    return a
-
-
 def _supertile_blocks(flow: SuspensionFlow, t: Fraction):
     """Greedy decomposition of [0, t] from the start of the canonical
     fixed point into maximal supertiles.
@@ -861,41 +854,46 @@ def _supertile_blocks(flow: SuspensionFlow, t: Fraction):
     letter) pairs in orbit order; the leftover time ``remaining`` is less
     than one level-0 tile and sits at the start of a tile of type
     ``straddle_letter`` (None when t lands exactly on a boundary).  The
-    block count is of order top level times maximal image length."""
+    block count is of order top level times maximal image length.  Each
+    greedy pass stops inside the image it reads: u starts with zeta(first),
+    t is shorter than the level-(K+1) tile of ``first``, and below the top
+    the time left is shorter than the tile descended into."""
     zeta = flow.zeta
-    _fixed_point_start(zeta)
-    first = fixed_point_prefix(zeta, 1)[0]
+    first, k = fixed_point_letter(zeta)
+    if k != 1:
+        raise NotFound(
+            "the canonical fixed point needs a power of the substitution; "
+            "pass zeta.power(k) instead"
+        )
     K = 0
     while level_lengths(flow, K + 1)[first - 1] <= t:
         K += 1
-    L = max(len(im) for im in zeta.images)
     blocks: list[tuple[int, int]] = []
     remaining = t
-    level = K
-    queue = list(fixed_point_prefix(zeta, L + 2))
-    qpos = 0
-    straddle = None
-    while level >= 0:
+    queue = zeta.images[first - 1]
+    for level in range(K, -1, -1):
         lens = level_lengths(flow, level)
-        while qpos < len(queue) and lens[queue[qpos] - 1] <= remaining:
-            c = queue[qpos]
-            blocks.append((level, c))
-            remaining -= lens[c - 1]
-            qpos += 1
-        if qpos >= len(queue):
-            if level != K:
-                raise BudgetExceeded("supertile decomposition failed to advance")
-            queue = list(fixed_point_prefix(zeta, 2 * len(queue)))
-            continue
-        c = queue[qpos]
-        if level == 0:
-            if remaining > 0:
-                straddle = c
-            break
-        queue = list(zeta.images[c - 1])
         qpos = 0
-        level -= 1
-    return blocks, straddle, remaining
+        while lens[queue[qpos] - 1] <= remaining:
+            blocks.append((level, queue[qpos]))
+            remaining -= lens[queue[qpos] - 1]
+            qpos += 1
+        c = queue[qpos]
+        queue = zeta.images[c - 1]
+    return blocks, (c if remaining > 0 else None), remaining
+
+
+def _orbit_blocks(flow: SuspensionFlow, x_anchor: int, t: Fraction, budget: int):
+    """(blocks, straddle_letter, remaining) of [0, t] from the anchor, as
+    ``_supertile_blocks`` gives them at anchor 0; a positive anchor walks
+    level-0 tiles under the budget."""
+    if x_anchor == 0:
+        return _supertile_blocks(flow, t)
+    letters = _orbit_letters(flow, x_anchor, t + flow.max_roof, budget)
+    n, reached = _whole_tiles(*_tile_clock(flow, letters), t)
+    remaining = t - reached
+    straddle = letters[n] if remaining and n < len(letters) else None
+    return [(0, c) for c in letters[:n]], straddle, remaining
 
 
 @dataclass(frozen=True)
@@ -950,15 +948,7 @@ def cocycle_phi2(
     e2s = ed.e2_star
     th2 = ed.theta2
 
-    if x_anchor == 0:
-        blocks, straddle, remaining = _supertile_blocks(flow, tt)
-    else:
-        letters = _orbit_letters(flow, x_anchor, tt + flow.max_roof, budget)
-        n, reached = _whole_tiles(*_tile_clock(flow, letters), tt)
-        blocks = [(0, c) for c in letters[:n]]
-        remaining = tt - reached
-        straddle = letters[n] if remaining and n < len(letters) else None
-
+    blocks, straddle, remaining = _orbit_blocks(flow, x_anchor, tt, budget)
     total = Fraction(0)
     for level, c in blocks:
         total += th2**level * e2s[c - 1]
@@ -1070,22 +1060,13 @@ def occupation_times(
     if tt == 0:
         return tuple(out)
 
-    if x_anchor == 0:
-        blocks, straddle, remaining = _supertile_blocks(flow, tt)
-        for level, c in blocks:
-            Pk = _count_power(zeta, level)
-            for aa in range(m):
-                out[aa] += Pk[aa][c - 1] * flow.roof[aa]
-        if straddle is not None and remaining > 0:
-            out[straddle - 1] += remaining  # partial tile, same letter
-        return tuple(out)
-
-    letters = _orbit_letters(flow, x_anchor, tt + flow.max_roof, budget)
-    n, reached = _whole_tiles(*_tile_clock(flow, letters), tt)
-    whole = letters[:n]
-    out = [whole.count(c) * flow.roof[c - 1] for c in range(1, m + 1)]
-    if reached < tt and n < len(letters):
-        out[letters[n] - 1] += tt - reached  # partial tile
+    blocks, straddle, remaining = _orbit_blocks(flow, x_anchor, tt, budget)
+    for (level, c), count in Counter(blocks).items():
+        Pk = _count_power(zeta, level)
+        for aa in range(m):
+            out[aa] += count * Pk[aa][c - 1] * flow.roof[aa]
+    if straddle is not None and remaining > 0:
+        out[straddle - 1] += remaining  # partial tile, same letter
     return tuple(out)
 
 

@@ -16,9 +16,15 @@ expanded lengths |zeta^n(b)| (``lengths_at``), the roof-weighted lengths
 (``tiling_lengths_at``) and the S^T domination behind the transfer-product
 error bounds of ``riesz`` all read it.
 
+Letters are read with ``operator.index`` (1.9 is refused, not truncated),
+and a new ``Substitution`` range-checks each image with ``min``/``max``.
 ``Substitution.apply`` validates its letters; the package's own expansions
-(powers, iterated words, hierarchies, fixed-point prefixes) go through the
-unchecked ``Substitution._expand``.
+go through the unchecked ``Substitution._expand``.
+
+The canonical fixed point u = zeta^k(u) lives in ``_fixed_point``: for the
+32 latest substitutions, zeta^k and the longest prefix of u read so far,
+which ``fixed_point_prefix`` slices, or grows for a longer request.  Every
+orbit reader in the package reads it; the memo only stores longer words.
 
 The one return-word power search is ``return_word_power``: the smallest p
 with v + c inside every zeta^p(b).  It refuses (``BudgetExceeded``) before
@@ -27,6 +33,8 @@ building a longest image of more than ``_EXPANSION_BUDGET`` = 10^7 letters.
 
 from __future__ import annotations
 
+import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,7 +109,7 @@ def as_word(w: str | Sequence[int]) -> Word:
     """Normalize a string or integer sequence into a word tuple."""
     if isinstance(w, str):
         return parse_word(w)
-    return tuple(int(a) for a in w)
+    return tuple(map(operator.index, w))
 
 
 def _searchable(word: Word) -> bytes | Word:
@@ -147,11 +155,11 @@ class Substitution:
         for j, im in enumerate(images, start=1):
             if not im:
                 raise ConfigError(f"image of letter {j} is empty")
-            for a in im:
-                if not 1 <= a <= self.m:
-                    raise ConfigError(
-                        f"letter {a} in image of {j} lies outside 1..{self.m}"
-                    )
+            if not (1 <= min(im) and max(im) <= self.m):
+                bad = next(a for a in im if not 1 <= a <= self.m)
+                raise ConfigError(
+                    f"letter {bad} in image of {j} lies outside 1..{self.m}"
+                )
 
     # -- constructors
 
@@ -853,21 +861,36 @@ def fixed_point_letter(zeta: Substitution) -> tuple[int, int]:
     return a, k
 
 
-def fixed_point_prefix(zeta: Substitution, length: int) -> Word:
-    """The first ``length`` letters of the canonical one-sided fixed point."""
+_FIXED_POINT_LOCK = threading.Lock()  # guards only the memo's store
+
+
+@lru_cache(maxsize=32)
+def _fixed_point(zeta: Substitution) -> list:
+    """``[zeta^k, longest prefix read so far]``, the prefix starting as
+    ``(a,)``, for ``(a, k) = fixed_point_letter(zeta)``."""
     a, k = fixed_point_letter(zeta)
-    zk = zeta.power(k)
-    w: Word = (a,)
-    guard = 0
+    images = zeta.images
+    for _ in range(k - 1):
+        images = tuple(zeta._expand(im) for im in images)
+    return [Substitution(zeta.m, images), (a,)]
+
+
+def fixed_point_prefix(zeta: Substitution, length: int) -> Word:
+    """The first ``length`` letters of the canonical one-sided fixed point.
+
+    A longer request than the memo holds grows the stored prefix w to
+    zeta^k(w), cut to ``length``; each step grows w unless |zeta^k(a)| = 1,
+    when there is no infinite fixed point (``NotFound``)."""
+    memo = _fixed_point(zeta)
+    zk, w = memo
+    if len(w) < length and len(zk.images[w[0] - 1]) == 1:
+        raise NotFound("substitution does not expand; no infinite fixed point")
     while len(w) < length:
-        nxt = zk._expand(w)
-        if len(nxt) == len(w):
-            raise NotFound("substitution does not expand; no infinite fixed point")
-        w = nxt[: max(length, 1)]
-        guard += 1
-        if guard > 10 * length + 64:
-            raise NotFound("fixed-point expansion stalled")
-    return w[:length]
+        w = zk._expand(w)[:length]
+    with _FIXED_POINT_LOCK:
+        if len(w) > len(memo[1]):
+            memo[1] = w
+    return w[: max(length, 0)]
 
 
 class AperiodicityVerdict(NamedTuple):

@@ -104,6 +104,11 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    def test_float_letter_is_a_config_error(self, cfg, capsys):
+        path = cfg('{"alphabet": 2, "images": [[1.9, 2, 2, 2], [1]]}')
+        assert main(["inspect", "--config", path]) == 4
+        assert "invalid image word" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["inspect", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -156,6 +161,47 @@ class TestSpectral:
             ]) == 0
             outs.append((out / "spectral.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_no_worker_sets_the_global_precision(self, cfg, tmp_path, monkeypatch):
+        # mpmath's working precision is process-global; with cold memos the
+        # only row step that sets it (theta's perron_data) runs before the pool
+        import threading
+
+        import mpmath
+
+        from subspectral import riesz, spectral, substitution
+
+        ctx = type(mpmath.mp)
+        setters = []
+
+        def spy(prop):
+            def setter(self, value):
+                setters.append(threading.current_thread())
+                prop.fset(self, value)
+
+            return property(prop.fget, setter)
+
+        monkeypatch.setattr(ctx, "prec", spy(ctx.prec))
+        monkeypatch.setattr(ctx, "dps", spy(ctx.dps))
+        outs = []
+        for threads in ("1", "2", "4"):
+            spectral._perron_theta.cache_clear()
+            substitution._count_power.cache_clear()
+            substitution._fixed_point.cache_clear()
+            for memo in ("_error_units", "_level_structure", "_transfer_matrix",
+                         "_prefix_product"):
+                getattr(riesz, memo).cache_clear()
+            setters.clear()
+            out = tmp_path / threads
+            assert main([
+                "spectral", "--config", cfg(RUNNING),
+                "--omega-grid", "linspace:0:1:24", "--n", "5",
+                "--threads", threads, "--out", str(out),
+            ]) == 0
+            outs.append((out / "spectral.csv").read_bytes())
+            assert setters  # the spy sees the main thread's settings
+            assert set(setters) == {threading.main_thread()}
+        assert outs[0] == outs[1] == outs[2]
 
     def test_precision_bits_reach_the_product_norms(self, cfg, tmp_path, monkeypatch):
         import subspectral.cli as cli_module

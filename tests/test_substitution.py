@@ -69,6 +69,27 @@ def test_substitution_validation():
     assert z == CUBIC
 
 
+def test_letters_must_be_integers():
+    # a float letter used to be truncated by int(): 1.9 read as 1
+    with pytest.raises(ConfigError, match="invalid image word"):
+        Substitution.from_config({"alphabet": 2, "images": [[1.9, 2, 2, 2], [1]]})
+    with pytest.raises(ConfigError, match="invalid image word"):
+        Substitution.from_config({"alphabet": 2, "images": [[1.0, 2], [1]]})
+    with pytest.raises(TypeError):
+        Substitution(2, ((1, 2.5), (1,)))
+    with pytest.raises(TypeError):
+        as_word([1, 2.0])
+    assert as_word((True, 2)) == (1, 2)  # bool is an int subclass
+
+
+def test_out_of_range_letter_is_named():
+    # the first offending letter of the first offending image
+    with pytest.raises(ConfigError, match=r"letter 0 in image of 2 lies outside 1\.\.3"):
+        Substitution(3, ((1, 2), (2, 0, 4), (1,)))
+    with pytest.raises(ConfigError, match=r"letter 5 in image of 1 lies outside 1\.\.3"):
+        Substitution(3, ((1, 5, 0), (2,), (3,)))
+
+
 def test_apply_and_power():
     assert CUBIC.apply("12") == (1, 2, 2, 2, 1)
     z2 = CUBIC.power(2)
