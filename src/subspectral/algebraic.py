@@ -43,11 +43,10 @@ theta, the two are equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
-from math import lcm as _int_lcm
 from threading import Lock
 from typing import NamedTuple, Sequence
 
@@ -129,27 +128,22 @@ def _frac_poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def _poly_gcd(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Primitive integer gcd with positive leading coefficient."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    a, b = _frac_poly_trim(a), _frac_poly_trim(b)
-    while any(c != 0 for c in b):
+    a = _frac_poly_trim([Fraction(c) for c in p])
+    b = _frac_poly_trim([Fraction(c) for c in q])
+    while any(b):
         a, b = b, _frac_poly_mod(a, b)
-        if len(b) == 1 and b[0] == 0:
-            break
-    # normalize to a primitive integer polynomial
-    lead = a[0]
-    monic = [c / lead for c in a]
-    denom = 1
-    for c in monic:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in monic]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[0] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    return _primitive_part(a)
+
+
+def _primitive_part(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector proportional to a nonzero rational one,
+    with its first nonzero entry positive."""
+    den = math.lcm(*(c.denominator for c in v))
+    ints = [int(c * den) for c in v]
+    g = math.gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
 
 
 def _poly_divexact(p: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
@@ -518,7 +512,7 @@ class _RootBisection:
     point."""
 
     def __init__(self, poly: tuple[int, ...], lo: Fraction, hi: Fraction) -> None:
-        d = _int_lcm(lo.denominator, hi.denominator)
+        d = math.lcm(lo.denominator, hi.denominator)
         a = lo.numerator * (d // lo.denominator)
         self.poly = poly
         self.a, self.span, self.d = a, hi.numerator * (d // hi.denominator) - a, d
@@ -724,7 +718,7 @@ def zt_mul_theta(
 def _scaled_bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     """(a, b, d) with lo = a/d, hi = b/d and d > 0 the least common
     denominator."""
-    d = _int_lcm(lo.denominator, hi.denominator)
+    d = math.lcm(lo.denominator, hi.denominator)
     return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
@@ -780,8 +774,6 @@ def _dist_interval_to_integers(
     def dist(x: Fraction) -> Fraction:
         k = round(x)
         return abs(x - k)
-
-    import math
 
     has_integer = math.ceil(a) <= math.floor(b)
     has_half = math.ceil(a - Fraction(1, 2)) <= math.floor(b - Fraction(1, 2))
@@ -852,8 +844,6 @@ def _ceil_log_ratio(ai: AlgebraicInteger, theta2_index: int) -> int:
         if not disk.is_real:
             return None
         lo, hi = disk.real_interval()
-        import math
-
         k = math.floor(hi)
         for cand in (k, k + 1):
             if lo <= cand <= hi and _poly_sign_scaled(p, cand, 1) == 0:

@@ -52,7 +52,9 @@ from .errors import (
     WrongClass,
 )
 from .flows import (
+    _theta_min_poly,
     cocycle_phi2,
+    eigen2_data,
     ergodic_decomposition_check,
     log_holder_certificate,
     make_flow,
@@ -278,8 +280,6 @@ def cmd_inspect(args) -> int:
     ]
     if prim.primitive:
         pd = perron_data(S)
-        from .flows import _theta_min_poly
-
         minpoly = _theta_min_poly(zeta)
         bits = args.precision_bits or 128
         ai = AlgebraicInteger.from_poly(minpoly, precision_bits=bits)
@@ -445,9 +445,6 @@ def cmd_flow(args) -> int:
                 (args.anchor, float(t), ev.value, ev.error_bound, ev.exact,
                  ev.value_exact)
             )
-        ed_constants: dict = {}
-        from .flows import eigen2_data
-
         ed = eigen2_data(flow)
         ed_constants = {
             "theta2": ed.theta2,

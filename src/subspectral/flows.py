@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import mpmath as mp
@@ -48,9 +48,15 @@ import numpy as np
 
 from .algebraic import (
     AlgebraicInteger,
+    RootDisk,
     ZThetaElement,
     _mpf_to_fraction,
+    _poly_derivative,
+    _poly_divexact,
+    _poly_gcd,
     _poly_sign_scaled,
+    _primitive_part,
+    certify_roots,
     classify,
     prop_alg_constants,
     qt_value_interval,
@@ -186,31 +192,62 @@ def make_flow(
     )
 
 
+def _integer_product(disks: Sequence[RootDisk]) -> tuple[int, ...] | None:
+    """prod (x - z) over the disks' roots z (descending), when each
+    coefficient's enclosure holds exactly one integer; else None.  With
+    centers c, radii r and M = |Re c| + |Im c|, the coefficient of x^(s-k)
+    is within e_k(M + r) - e_k(M) of the centers' one."""
+    C, lo, hi = [(Fraction(1), Fraction(0))], [Fraction(1)], [Fraction(1)]
+    for disk in disks:
+        (cr, ci), r = disk.center_fractions(), disk.radius_fraction()
+        M = abs(cr) + abs(ci)
+        C = [(a - cr * u + ci * v, b - cr * v - ci * u)
+             for (a, b), (u, v) in zip(C + [(0, 0)], [(0, 0)] + C)]
+        lo = [a + M * u for a, u in zip(lo + [0], [0] + lo)]
+        hi = [a + (M + r) * u for a, u in zip(hi + [0], [0] + hi)]
+    out = []
+    for (x, y), d, e in zip(C, lo, hi):
+        err = e - d
+        n = math.floor(x + err)  # the largest integer in the enclosure, if any
+        if abs(y) > err or not n - 1 < x - err <= n:
+            return None
+        out.append(n)
+    return tuple(out)
+
+
 def _theta_min_poly(
     zeta: Substitution, theta_interval: tuple[Fraction, Fraction] | None = None
 ) -> tuple[int, ...]:
     """Minimal polynomial (descending, monic) of the dominant eigenvalue:
-    the irreducible factor of the characteristic polynomial that vanishes
-    on the certified dominant bracket ``theta_interval`` (certified here at
-    96 bits when not given)."""
-    import sympy
-
+    the least-degree monic integer factor of the characteristic polynomial
+    that vanishes on the certified dominant bracket ``theta_interval``
+    (certified here at 96 bits when not given).  Candidates are the
+    ``_integer_product`` of the subsets of the squarefree part's certified
+    roots that hold theta, smallest first; the first that divides the
+    squarefree part exactly and changes sign on the bracket is returned."""
     S = substitution_matrix(zeta)
-    asc = char_poly(S)
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(asc))
-    factors = sympy.factor_list(expr)[1]
+    p = tuple(reversed(char_poly(S)))
+    sqf = _poly_divexact(p, _poly_gcd(p, _poly_derivative(p)))
     if theta_interval is None:
         theta_interval = perron_data(S, precision_bits=96).theta_interval
     lo, hi = theta_interval
-    for base, _ in factors:
-        coeffs = [int(c) for c in sympy.Poly(base, x).all_coeffs()]
-        if coeffs[0] < 0:
-            coeffs = [-c for c in coeffs]
-        s_lo = _poly_sign_scaled(coeffs, lo.numerator, lo.denominator)
-        s_hi = _poly_sign_scaled(coeffs, hi.numerator, hi.denominator)
-        if s_lo * s_hi <= 0:
-            return tuple(coeffs)
+    disks = certify_roots(sqf, 128)
+    at = [d for d in disks if d.is_real and d.real_interval()[0] <= hi
+          and lo <= d.real_interval()[1]]
+    if len(at) == 1:
+        others = [d for d in disks if d is not at[0]]
+        for k in range(len(disks)):
+            for subset in combinations(others, k):
+                cand = _integer_product(at + list(subset))
+                if cand is None or _poly_sign_scaled(
+                    cand, lo.numerator, lo.denominator
+                ) * _poly_sign_scaled(cand, hi.numerator, hi.denominator) > 0:
+                    continue
+                try:
+                    _poly_divexact(sqf, cand)
+                except ArithmeticError:
+                    continue
+                return cand
     raise NotFound(
         "no factor of the characteristic polynomial brackets the dominant "
         "eigenvalue"
@@ -821,19 +858,7 @@ def eigen2_data(flow: SuspensionFlow) -> Eigen2Data:
         [Fraction(S[i][j]) - (theta2 if i == j else 0) for j in range(m)]
         for i in range(m)
     ]
-    e2_frac = _rational_nullspace(A)
-    den = 1
-    for c in e2_frac:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in e2_frac]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    first = next(c for c in ints if c != 0)
-    if first < 0:
-        ints = [-c for c in ints]
-    e2v = tuple(Fraction(c) for c in ints)
+    e2v = tuple(map(Fraction, _primitive_part(_rational_nullspace(A))))
     At = [
         [Fraction(S[j][i]) - (theta2 if i == j else 0) for j in range(m)]
         for i in range(m)

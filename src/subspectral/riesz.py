@@ -32,6 +32,10 @@ of ``isqrt``) and one ulp of the returned float.  Values handed out as
 ``mpc`` (``TransferMatrix.entries``, ``TwistedProduct.matrix`` and the
 ``phi_*`` results) are the exact dyadic values of the integer pairs.
 
+Level-word and Birkhoff sums are rows of the same integer products
+(``_twisted_row``, with its own bound), so no global precision is read or
+set on their way either.
+
 Transfer matrices and prefix products (with their logged norms) are memoised
 per substitution, level or depth, exact rational frequency, roof and
 precision in bounded LRU caches that hold integers only, so sweeps that
@@ -47,7 +51,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -58,10 +63,14 @@ from .errors import BudgetExceeded
 from .substitution import (
     Substitution,
     Word,
+    _check_letters,
     _count_power,
     _mat_mul,
     _transpose,
+    as_word,
     lengths_at,
+    parse_word,
+    perron_data,
     substitution_matrix,
     tiling_lengths_at,
 )
@@ -126,12 +135,6 @@ def _to_mpc(z: tuple[int, int], bits: int) -> "mp.mpc":
 
 def _mpc_matrix(A, bits: int) -> tuple[tuple["mp.mpc", ...], ...]:
     return tuple(tuple(_to_mpc(z, bits) for z in row) for row in A)
-
-
-def _unit(omega: Fraction, length: Fraction | int) -> "mp.mpc":
-    """e^(-2 pi i omega length) at the working precision."""
-    ph = (omega * length) % 1
-    return _to_mpc(_phase(ph.numerator, ph.denominator, mp.mp.prec), mp.mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,17 @@ def _validate_roof(zeta: Substitution, roof) -> tuple[Fraction, ...]:
     return r
 
 
+def _scaled_lengths(
+    zeta: Substitution, n: int, roof: tuple[Fraction, ...] | None
+) -> tuple[int, Sequence[int]]:
+    """A common denominator D of the level-n lengths (1 without a roof) and
+    D times the level-n length of each letter."""
+    if roof is None:
+        return 1, lengths_at(zeta, n)
+    den = math.lcm(*(r.denominator for r in roof))
+    return den, [int(x * den) for x in tiling_lengths_at(zeta, n, roof)]
+
+
 @lru_cache(maxsize=4096)
 def _level_structure(
     zeta: Substitution, n: int, roof: tuple[Fraction, ...] | None
@@ -252,21 +266,25 @@ def _level_structure(
     """A common denominator D of the level-n lengths (1 without a roof) and,
     per letter b, a tuple of (c, D times the cumulative length of the image
     prefix strictly before this occurrence)."""
-    if roof is None:
-        den = 1
-        lens: Sequence[int] = lengths_at(zeta, n)
-    else:
-        den = math.lcm(*(r.denominator for r in roof))
-        lens = [int(x * den) for x in tiling_lengths_at(zeta, n, roof)]
-    out = []
-    for b in range(1, zeta.m + 1):
-        cum = 0
-        occ = []
-        for c in zeta.image(b):
-            occ.append((c, cum))
-            cum += lens[c - 1]
-        out.append(tuple(occ))
-    return den, tuple(out)
+    den, lens = _scaled_lengths(zeta, n, roof)
+    return den, tuple(
+        tuple(zip(w, accumulate((lens[c - 1] for c in w), initial=0)))
+        for w in zeta.images
+    )
+
+
+def _phase_row(
+    m: int, occ: Iterable[tuple[int, int]], p: int, q: int, bits: int
+) -> tuple[tuple[int, int], ...]:
+    """Per letter c, the sum of e^(-2 pi i p t / q) over the pairs (c, t) of
+    ``occ``, as integer pairs at scale 2^-bits."""
+    re = [0] * m
+    im = [0] * m
+    for c, t in occ:
+        x, y = _phase(p * t % q, q, bits)
+        re[c - 1] += x
+        im[c - 1] += y
+    return tuple(zip(re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +302,6 @@ def phi_direct(
 
     Phases are reduced mod 1 with exact integer arithmetic, so the result is
     accurate to ~1 ulp per term even for very long words."""
-    from .substitution import parse_word
-
     letters = np.fromiter(
         parse_word(v) if isinstance(v, str) else v, dtype=np.int64
     )
@@ -315,8 +331,6 @@ def phi_suspension_direct(
     """Brute-force weighted twisted sum: the phase at position ``j`` uses the
     weighted length of the prefix *including* position ``j`` (the natural
     convention when letters carry durations)."""
-    from .substitution import as_word
-
     w = as_word(v)
     if len(w) > budget:
         raise BudgetExceeded(
@@ -376,16 +390,7 @@ def _transfer_matrix(
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
     den, structure = _level_structure(zeta, n, rf)
     p, q = om.numerator, om.denominator * den
-    rows = []
-    for occ in structure:
-        re = [0] * zeta.m
-        im = [0] * zeta.m
-        for c, cum in occ:
-            x, y = _phase(p * cum % q, q, precision_bits)
-            re[c - 1] += x
-            im[c - 1] += y
-        rows.append(tuple(zip(re, im)))
-    return tuple(rows)
+    return tuple(_phase_row(zeta.m, occ, p, q, precision_bits) for occ in structure)
 
 
 def shifted_product(
@@ -446,20 +451,50 @@ def _prefix_product(
     return A, norm, math.nextafter(err, math.inf)
 
 
-def _product_entry(
+def _product(
     zeta: Substitution,
     n: int,
     om: Fraction,
     rf: tuple[Fraction, ...] | None,
     precision_bits: int,
-    b: int,
-    a: int,
-) -> tuple[int, int]:
-    """Entry (b, a) of the depth-``n`` product as an integer pair, read
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The depth-``n`` product for levels n-1 .. 0 as integer pairs, read
     from the memo; a cold miss is filled in strides of ``_STRIDE`` depths."""
     for depth in range(1 + (n - 1) % _STRIDE, n + 1, _STRIDE):
         A = _prefix_product(zeta, 0, depth, om, rf, precision_bits)[0]
-    return A[b - 1][a - 1]
+    return A
+
+
+def _twisted_row(
+    zeta: Substitution,
+    pieces: Iterable[tuple[Word, int, Fraction | int]],
+    om: Fraction,
+    rf: tuple[Fraction, ...] | None,
+    precision_bits: int,
+) -> list[tuple[int, int]]:
+    """Twisted sums of the level-j images of the pieces (w, j, offset),
+    added up, for every letter a at once, as integer pairs at scale 2^-P.
+
+    A letter c of w at the exact expanded position t (the offset, a multiple
+    of 1/D, plus the level-j length before it) adds e^(-2 pi i omega t) to
+    entry c of the piece's row; at j > 0 one rounded ``_mul`` takes the row
+    through the depth-j product.  Entry a of a piece is within n_a units of
+    the exact sum at level 0 (n_c counting c in w), within
+    sum_c n_c (T[c][a] + E[c][a] + ceil(E[c][a] / 2^P)) + 1 units at level j,
+    (E, T) = ``_error_units(zeta, j, P)``; the pieces' bounds add up."""
+    total = [(0, 0)] * zeta.m
+    for w, level, offset in pieces:
+        if not w:
+            continue
+        den, lens = _scaled_lengths(zeta, level, rf)
+        p, q = om.numerator, om.denominator * den
+        t = accumulate((lens[c - 1] for c in w), initial=int(offset * den))
+        row = _phase_row(zeta.m, zip(w, t), p, q, precision_bits)
+        if level:
+            P = _product(zeta, level, om, rf, precision_bits)
+            row = _mul((row,), P, precision_bits)[0]
+        total = [(x + u, y + v) for (x, y), (u, v) in zip(total, row)]
+    return total
 
 
 def riesz_product(
@@ -486,14 +521,12 @@ def phi_recursive(
 ) -> "mp.mpc":
     """Twisted sum of the ``n``-fold image of ``b`` counting letter ``a``,
     computed through the matrix recursion (never expands the word)."""
-    for letter in (a, b):
-        if not 1 <= letter <= zeta.m:
-            raise ValueError(f"letter {letter} outside alphabet 1..{zeta.m}")
+    _check_letters(zeta, (a, b))
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
         return mp.mpc(1 if a == b else 0)
-    z = _product_entry(zeta, n, as_exact(omega), None, precision_bits, b, a)
+    z = _product(zeta, n, as_exact(omega), None, precision_bits)[b - 1][a - 1]
     return _to_mpc(z, precision_bits)
 
 
@@ -513,9 +546,7 @@ def phi_suspension(
     With all weights equal to 1 this equals the unweighted sum times
     ``e^(-2 pi i omega)`` (the inclusive convention shifts every phase by one
     step)."""
-    for letter in (a, b):
-        if not 1 <= letter <= zeta.m:
-            raise ValueError(f"letter {letter} outside alphabet 1..{zeta.m}")
+    _check_letters(zeta, (a, b))
     if n < 0:
         raise ValueError("level must be nonnegative")
     rf = _validate_roof(zeta, roof)
@@ -524,7 +555,7 @@ def phi_suspension(
     head = _phase(ph.numerator, ph.denominator, precision_bits)
     if n == 0:
         return _to_mpc(head if a == b else (0, 0), precision_bits)
-    z = _product_entry(zeta, n, om, rf, precision_bits, b, a)
+    z = _product(zeta, n, om, rf, precision_bits)[b - 1][a - 1]
     return _to_mpc(_mul(((head,),), ((z,),), precision_bits)[0][0], precision_bits)
 
 
@@ -537,43 +568,21 @@ def phi_of_level_word(
     roof: Sequence | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> "mp.mpc":
-    """Twisted sum of the level-``level`` image of an arbitrary word ``w``,
-    assembled from per-letter column values and exact cumulative lengths.
-
-    This is the concatenation rule: the sum over ``image(w)`` is the sum of
-    per-letter contributions, each shifted by the frequency times the exact
-    expanded length of what precedes it."""
-    from .substitution import as_word
-
+    """Twisted sum of the level-``level`` image of an arbitrary word ``w``:
+    the concatenation rule, each letter's column shifted by the frequency
+    times the exact expanded length before it, as the row of the one piece
+    ``(w, level, offset)``.  The offset is 0, or ``roof[a]`` under a roof,
+    so that phases count the weighted length *including* the current
+    letter, as in ``phi_suspension``."""
     word = as_word(w)
-    if not 1 <= a <= zeta.m:
-        raise ValueError(f"letter {a} outside alphabet 1..{zeta.m}")
-    for letter in word:
-        if not 1 <= letter <= zeta.m:
-            raise ValueError(f"letter {letter} outside alphabet 1..{zeta.m}")
+    _check_letters(zeta, (a, *word))
     if level < 0:
         raise ValueError("level must be nonnegative")
     om = as_exact(omega)
     rf = None if roof is None else _validate_roof(zeta, roof)
-    if rf is None:
-        lens: Sequence[Fraction | int] = lengths_at(zeta, level)
-    else:
-        lens = tiling_lengths_at(zeta, level, rf)
-    with mp.workprec(precision_bits):
-        if level == 0:
-            col = [mp.mpc(1 if a == c else 0) for c in range(1, zeta.m + 1)]
-        else:
-            prod = riesz_product(zeta, level, om, rf, precision_bits)
-            col = [prod.matrix[c - 1][a - 1] for c in range(1, zeta.m + 1)]
-        head = mp.mpc(1) if rf is None else _unit(om, rf[a - 1])
-        acc = mp.mpc(0)
-        cum: Fraction | int = 0 if rf is None else Fraction(0)
-        for letter in word:
-            term = col[letter - 1]
-            if term != 0:
-                acc += _unit(om, cum) * term
-            cum = cum + lens[letter - 1]
-        return head * acc
+    offset = 0 if rf is None else rf[a - 1]
+    row = _twisted_row(zeta, [(word, level, offset)], om, rf, precision_bits)
+    return _to_mpc(row[a - 1], precision_bits)
 
 
 def riesz_density(
@@ -590,8 +599,6 @@ def riesz_density(
     conj(phi_b(image_n(j))), divided by theta^n and by the product of the
     frequency-vector and length-vector normalizers.  Always Hermitian and
     positive semidefinite (it is a conjugated Gram matrix)."""
-    from .substitution import perron_data
-
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if pd is None:

@@ -30,9 +30,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
+from mpmath import libmp
 
 from .algebraic import AlgebraicInteger, _mpf_to_fraction, _root_statuses
 from .errors import (
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .riesz import (
     DEFAULT_PRECISION_BITS,
-    _unit,
+    _twisted_row,
     as_exact,
     shifted_product,
 )
@@ -74,29 +77,6 @@ def _dist_to_int(x: Fraction) -> Fraction:
     return min(f, 1 - f)
 
 
-def _phi_f_level(
-    zeta: Substitution,
-    w: Word,
-    level: int,
-    d_coeffs: Sequence[complex],
-    omega: Fraction,
-    precision_bits: int,
-) -> "mp.mpc":
-    """Twisted sum of the level-``level`` image of ``w``, weighted by the
-    per-letter coefficients."""
-    from .riesz import phi_of_level_word
-
-    acc = mp.mpc(0)
-    for a in range(1, zeta.m + 1):
-        da = d_coeffs[a - 1]
-        if da == 0:
-            continue
-        acc += mp.mpc(da) * phi_of_level_word(
-            zeta, w, level, a, omega, None, precision_bits
-        )
-    return acc
-
-
 def birkhoff_twisted(
     zeta: Substitution,
     f_coeffs: Sequence[complex],
@@ -107,11 +87,12 @@ def birkhoff_twisted(
 ) -> "mp.mpc":
     """Twisted Birkhoff sum over a legal word, via hierarchical blocks.
 
-    The word is decomposed against the supertile hierarchy and each block
-    contributes its (recursively computed) twisted sum, shifted by the exact
-    phase of everything before it; the result equals the direct summation
-    sum_n e^(-2 pi i omega n) d(x_n).  Raises ``NotInLanguage`` when the
-    word cannot be located in the language."""
+    The word is decomposed against the supertile hierarchy; each block is a
+    piece of ``riesz._twisted_row`` at the exact length before it, so the
+    result equals sum_n e^(-2 pi i omega n) d(x_n).  The coefficients (ints,
+    floats, Fractions, mpfs or complex numbers) are dotted with the integer
+    row exactly, and the sum is rounded once to ``precision_bits``.  Raises
+    ``NotInLanguage`` when the word cannot be located in the language."""
     if len(f_coeffs) != zeta.m:
         raise ValueError(f"need {zeta.m} coefficients, got {len(f_coeffs)}")
     word = as_word(x_prefix)
@@ -119,22 +100,20 @@ def birkhoff_twisted(
         if not 1 <= N <= len(word):
             raise ValueError("N must be in [1, len(x_prefix)]")
         word = word[:N]
-    om = as_exact(omega)
     dec = prefix_suffix_decomposition(zeta, word)
-    lens = [lengths_at(zeta, j) for j in range(dec.n + 1)]
-    with mp.workprec(precision_bits):
-        acc = mp.mpc(0)
-        cum = 0
-        pieces = [(dec.prefixes[j], j) for j in range(dec.n + 1)]
-        pieces += [(dec.suffixes[j], j) for j in range(dec.n, -1, -1)]
-        for piece, j in pieces:
-            if not piece:
-                continue
-            acc += _unit(om, cum) * _phi_f_level(
-                zeta, piece, j, f_coeffs, om, precision_bits
-            )
-            cum += sum(lens[j][c - 1] for c in piece)
-        return acc
+    blocks = [(dec.prefixes[j], j) for j in range(dec.n + 1)]
+    blocks += [(dec.suffixes[j], j) for j in range(dec.n, -1, -1)]
+    lens = (sum(lengths_at(zeta, j)[c - 1] for c in w) for w, j in blocks)
+    pieces = [(w, j, t) for (w, j), t in zip(blocks, accumulate(lens, initial=0))]
+    row = _twisted_row(zeta, pieces, as_exact(omega), None, precision_bits)
+    d = [(as_exact(z.real), as_exact(z.imag)) for z in f_coeffs]
+    re = sum(dr * x - di * y for (dr, di), (x, y) in zip(d, row))
+    im = sum(dr * y + di * x for (dr, di), (x, y) in zip(d, row))
+    return mp.make_mpc(tuple(
+        libmp.from_rational(v.numerator, v.denominator << precision_bits,
+                            precision_bits, libmp.round_nearest)
+        for v in (re, im)
+    ))
 
 
 @dataclass(frozen=True)
@@ -835,8 +814,6 @@ def zero_exponent_scan(
             status = "in"
             mod2 = max((mid(i) for i in others), default=0.0)
     except NotSquarefree:
-        import numpy as np
-
         roots = sorted(np.roots([float(c) for c in poly]), key=abs)
         mod2 = abs(roots[-2]) if len(roots) >= 2 else 0.0
         certified = False

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import operator
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -568,10 +569,14 @@ def _extended_return_word(zeta: Substitution, v: str | Sequence[int]) -> Word:
     c = word[0]
     if c in word[1:]:
         raise ValueError("a return word contains its first letter exactly once")
-    for letter in word:
+    _check_letters(zeta, word)
+    return word + (c,)
+
+
+def _check_letters(zeta: Substitution, letters: Iterable[int]) -> None:
+    for letter in letters:
         if not 1 <= letter <= zeta.m:
             raise ValueError(f"letter {letter} outside alphabet 1..{zeta.m}")
-    return word + (c,)
 
 
 def _first_image_without(images: Sequence[Word], vc: Word) -> int | None:
@@ -772,8 +777,6 @@ def prefix_suffix_decomposition(
         raise NotFound(
             "window is interior to a single image and admits no suffix/prefix cut"
         )
-
-    from bisect import bisect_right
 
     u_chain: list[Word] = []
     v_chain: list[Word] = []

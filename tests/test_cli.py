@@ -2,12 +2,16 @@
 and determinism, manifests, and the documented error mapping."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subspectral
 from subspectral import __version__
 from subspectral.cli import main
 
@@ -521,3 +525,24 @@ def test_readme_flow_example_runs(args, config, cfg, tmp_path):
     args[args.index("--config") + 1] = cfg(config)
     args[args.index("--out") + 1] = str(tmp_path / "out")
     assert main(args) == 0
+
+
+def test_inspect_and_flow_load_no_sympy(cfg, tmp_path):
+    # a fresh interpreter: the minimal polynomial of theta comes from the
+    # package's own root certificates, so no symbolic algebra is imported
+    path = cfg(RUNNING)
+    script = "\n".join([
+        "import sys",
+        "from subspectral.cli import main",
+        f"assert main(['inspect', '--config', {path!r}, '--out', {str(tmp_path / 'a')!r}]) == 0",
+        f"assert main(['flow', 'log-holder', '--config', {path!r}, '--out', {str(tmp_path / 'b')!r}]) == 0",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    src = str(Path(subspectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

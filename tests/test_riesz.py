@@ -5,11 +5,15 @@ oracles for every recursive computation; where both sides are high precision
 the tolerances are tight, where the oracle itself is double precision they
 are 1e-9 as stated in the interface docs.  The integer kernel is checked
 against the earlier `mpc` product loop, kept here as a reference run at
-2P + 32 bits, within the error bounds the kernel reports.
+2P + 32 bits, within the error bounds the kernel reports; so are the
+level-word and Birkhoff sums of ``riesz._twisted_row``, against the earlier
+`mpc` evaluations of ``phi_of_level_word`` and ``birkhoff_twisted``, and
+mutated rows must fail that check.
 """
 
 import cmath
 import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -20,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspectral import riesz
+from subspectral import riesz, spectral
 from subspectral.errors import BudgetExceeded
 from subspectral.riesz import (
     phi_direct,
@@ -34,20 +38,24 @@ from subspectral.riesz import (
     tiling_lengths_at,
     transfer_matrix,
 )
+from subspectral.spectral import birkhoff_twisted
 from subspectral.substitution import (
     Substitution,
     _as_matrix,
     _count_power,
     _transpose,
+    fixed_point_prefix,
     iterate_word,
     lengths_at,
     perron_data,
+    prefix_suffix_decomposition,
     substitution_matrix,
 )
 
 RUNNING = Substitution.from_images(["1222", "1"])
 THUE_MORSE = Substitution.from_images(["12", "21"])
 SYMMETRIC = Substitution.from_images(["1112", "1222"])
+TRIBONACCI = Substitution.from_images(["12", "13", "1"])
 
 
 def s_transpose(zeta):
@@ -104,6 +112,92 @@ def units(z, bits):
         riesz.as_exact(z.real) * 2**bits,
         riesz.as_exact(z.imag) * 2**bits,
     )
+
+
+def reference_unit(om, t):
+    """e^(-2 pi i omega t) at the working precision, from the exactly
+    reduced phase."""
+    ph = (om * t) % 1
+    return mp.expjpi(-2 * mp.mpf(ph.numerator) / ph.denominator)
+
+
+def reference_level_word(zeta, w, level, a, om, roof, bits):
+    """The earlier ``mpc`` evaluation of ``phi_of_level_word`` at
+    2 * bits + 32 bits, on the reference products: each letter's column
+    entry times the phase of the exact length before it, and the sum times
+    e^(-2 pi i omega roof[a]) under a roof."""
+    with mp.workprec(2 * bits + 32):
+        if level == 0:
+            col = [mp.mpc(int(c == a)) for c in range(1, zeta.m + 1)]
+        else:
+            P = reference_products(zeta, 0, level, om, roof, bits)[-1][0]
+            col = [P[c - 1][a - 1] for c in range(1, zeta.m + 1)]
+        if roof is None:
+            lens, head = lengths_at(zeta, level), mp.mpc(1)
+        else:
+            lens = tiling_lengths_at(zeta, level, roof)
+            head = reference_unit(om, roof[a - 1])
+        acc = mp.mpc(0)
+        cum = Fraction(0)
+        for c in w:
+            acc += reference_unit(om, cum) * col[c - 1]
+            cum += lens[c - 1]
+        return head * acc
+
+
+def decomposition_pieces(zeta, word):
+    """The (block, level, offset) pieces of ``birkhoff_twisted``."""
+    dec = prefix_suffix_decomposition(zeta, word)
+    blocks = [(dec.prefixes[j], j) for j in range(dec.n + 1)]
+    blocks += [(dec.suffixes[j], j) for j in range(dec.n, -1, -1)]
+    pieces = []
+    cum = 0
+    for block, j in blocks:
+        pieces.append((block, j, cum))
+        cum += sum(lengths_at(zeta, j)[c - 1] for c in block)
+    return pieces
+
+
+def reference_birkhoff(zeta, f, word, om, bits):
+    """The earlier ``mpc`` evaluation of ``birkhoff_twisted`` at
+    2 * bits + 32 bits: each block's coefficient-weighted level-word sums,
+    shifted by the phase of what precedes the block."""
+    with mp.workprec(2 * bits + 32):
+        acc = mp.mpc(0)
+        for block, j, offset in decomposition_pieces(zeta, word):
+            if block:
+                phi_f = mp.fsum(
+                    mp.mpc(d) * reference_level_word(zeta, block, j, a, om, None, bits)
+                    for a, d in enumerate(f, start=1)
+                )
+                acc += reference_unit(om, offset) * phi_f
+        return acc
+
+
+def row_bound(zeta, pieces, bits):
+    """The error bound of ``riesz._twisted_row`` in units 2^-bits, entry by
+    entry, as its docstring states it."""
+    out = [0] * zeta.m
+    for w, level, _ in pieces:
+        n = [w.count(c) for c in range(1, zeta.m + 1)]
+        if level == 0:
+            out = [x + k for x, k in zip(out, n)]
+            continue
+        E, T = riesz._error_units(zeta, level, bits)
+        up = (1 << bits) - 1
+        for a in range(zeta.m):
+            out[a] += 1 + sum(
+                n[c] * (T[c][a] + E[c][a] + ((E[c][a] + up) >> bits))
+                for c in range(zeta.m)
+            )
+    return out
+
+
+def dist2(z, w):
+    """|z - w|^2 of two mpcs, exactly."""
+    dx = riesz.as_exact(z.real) - riesz.as_exact(w.real)
+    dy = riesz.as_exact(z.imag) - riesz.as_exact(w.imag)
+    return dx * dx + dy * dy
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +632,26 @@ class TestIntegerKernel:
                 assert M == ((1, z), (z, 1))
 
     def test_threads_give_identical_products(self):
+        # level-word sums at two precisions and Birkhoff sums as well: none
+        # of them may read or leave a global precision
         oms = [Fraction(k, 100003) for k in range(1, 57 * 37, 37)]
         assert len(oms) == 57
+        roof = (Fraction(3, 2), Fraction(1, 3))
+        pref = fixed_point_prefix(RUNNING, 200)
 
         def run(order):
             return [
-                (om, P.matrix, P.per_step_norms, P.norm_errors)
+                (om, pickle.dumps((
+                    P.matrix, P.per_step_norms, P.norm_errors,
+                    phi_of_level_word(RUNNING, "12", 6, 1, om, precision_bits=200),
+                    phi_of_level_word(RUNNING, "2112", 3, 2, om, roof, 80),
+                    birkhoff_twisted(RUNNING, (1, -1), pref, omega=om),
+                )))
                 for om in order
                 for P in (riesz_product(RUNNING, 14, om),)
             ]
 
+        prec = mp.mp.prec
         TestMemoisation.clear()
         single = sorted(run(oms), key=lambda t: t[0])
         TestMemoisation.clear()
@@ -562,6 +666,7 @@ class TestIntegerKernel:
             sys.setswitchinterval(old)
         for res in results:
             assert sorted(res, key=lambda t: t[0]) == single
+        assert mp.mp.prec == prec
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +768,107 @@ class TestPhiOfLevelWord:
                         )
                         wants = phi_suspension_direct(full, roof, a, om)
                         assert abs(gots - wants) < 1e-9
+
+
+ROW_OMEGAS = (Fraction(5, 17), Fraction(2**61 - 1, 2**62 + 3))
+ROW_ROOFS = {
+    RUNNING: (Fraction(3, 2), Fraction(1, 3)),
+    THUE_MORSE: (Fraction(1), Fraction(5, 7)),
+    TRIBONACCI: (Fraction(1, 2), Fraction(2), Fraction(3, 5)),
+}
+
+
+def level_word_misses(bits=106):
+    """The cases where ``phi_of_level_word`` leaves its stated bound around
+    the reference at 2 * bits + 32 bits (whose own error stays far below one
+    unit 2^-bits, the slack allowed for it); the deepest level is cold, past
+    ``_STRIDE``."""
+    for zeta, roof in ROW_ROOFS.items():
+        words = [(1,), (2, 1, 1), tuple(iterate_word(zeta, 1, 3))]
+        for level in (0, 1, 5, riesz._STRIDE + 6):
+            if level > riesz._STRIDE:
+                TestMemoisation.clear()
+                words = words[1:2]
+            for rf in (None, roof):
+                for w in words:
+                    for om in ROW_OMEGAS:
+                        for a in range(1, zeta.m + 1):
+                            got = phi_of_level_word(zeta, w, level, a, om, rf, bits)
+                            want = reference_level_word(zeta, w, level, a, om, rf, bits)
+                            offset = 0 if rf is None else rf[a - 1]
+                            bound = row_bound(zeta, [(w, level, offset)], bits)[a - 1]
+                            if dist2(got, want) > Fraction(bound + 1, 2**bits) ** 2:
+                                yield zeta, w, level, a, om, rf
+
+
+def birkhoff_misses(bits=106):
+    """The cases where ``birkhoff_twisted`` leaves its stated bound around
+    the reference: the coefficient-weighted row bounds, one rounding of each
+    part of the result, and one unit for the reference."""
+    for zeta, f in (
+        (RUNNING, (2.0, -1.5)),
+        (THUE_MORSE, (1, -1)),
+        (TRIBONACCI, (1 + 2j, -0.5, 0.75)),
+    ):
+        for n in (1, 7, 53, 400):
+            word = fixed_point_prefix(zeta, n)
+            bounds = row_bound(zeta, decomposition_pieces(zeta, word), bits)
+            for om in ROW_OMEGAS:
+                got = birkhoff_twisted(zeta, f, word, omega=om, precision_bits=bits)
+                want = reference_birkhoff(zeta, f, word, om, bits)
+                size = abs(riesz.as_exact(got.real)) + abs(riesz.as_exact(got.imag))
+                bound = size + 1 + sum(
+                    (abs(Fraction(d.real)) + abs(Fraction(d.imag))) * e
+                    for d, e in zip(f, bounds)
+                )
+                if dist2(got, want) > (bound / 2**bits) ** 2:
+                    yield zeta, f, n, om
+
+
+def mutated_row(mutation):
+    """A copy of ``riesz._twisted_row`` with one fault: the phase taken one
+    letter short of the exact offset, level-0 pieces skipped, or each phase
+    conjugated."""
+
+    def row(zeta, pieces, om, rf, bits):
+        total = [(0, 0)] * zeta.m
+        for w, level, offset in pieces:
+            if not w or (mutation == "skip_level0" and level == 0):
+                continue
+            den, lens = riesz._scaled_lengths(zeta, level, rf)
+            p, q = om.numerator, om.denominator * den
+            t = int(offset * den)
+            re = [0] * zeta.m
+            im = [0] * zeta.m
+            for c in w:
+                short = lens[c - 1] if mutation == "offset_short" else 0
+                x, y = riesz._phase(p * (t - short) % q, q, bits)
+                re[c - 1] += x
+                im[c - 1] += -y if mutation == "conjugate" else y
+                t += lens[c - 1]
+            row = tuple(zip(re, im))
+            if level:
+                row = riesz._mul((row,), riesz._product(zeta, level, om, rf, bits), bits)[0]
+            total = [(x + u, y + v) for (x, y), (u, v) in zip(total, row)]
+        return total
+
+    return row
+
+
+class TestTwistedRow:
+    def test_level_words_within_bound_of_reference(self):
+        assert list(level_word_misses()) == []
+
+    def test_birkhoff_sums_within_bound_of_reference(self):
+        assert list(birkhoff_misses()) == []
+
+    @pytest.mark.parametrize("mutation", ["offset_short", "skip_level0", "conjugate"])
+    def test_mutated_rows_fail(self, mutation, monkeypatch):
+        row = mutated_row(mutation)
+        monkeypatch.setattr(riesz, "_twisted_row", row)
+        monkeypatch.setattr(spectral, "_twisted_row", row)
+        assert next(level_word_misses(), None) is not None
+        assert next(birkhoff_misses(), None) is not None
 
 
 # ---------------------------------------------------------------------------
