@@ -51,6 +51,7 @@ from threading import Lock
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import NotSquarefree, PrecisionExhausted, WrongClass
 
@@ -73,6 +74,39 @@ __all__ = [
 ]
 
 PRECISION_CAP_BITS = 2**20
+
+
+# ---------------------------------------------------------------------------
+# explicit-precision numerics
+#
+# mpmath's global context ``mp`` holds one process-wide working precision;
+# the package neither reads nor sets it.  Scalar arithmetic calls ``libmp``
+# with the precision named at the call, and matrix and root-finding code
+# runs in a fresh private context per call.  Results are rebuilt exactly as
+# global-context values, so they pickle and compare as before.
+
+_RND = libmp.round_nearest
+
+
+def _context(prec: int) -> "mp.MPContext":
+    """A fresh mpmath context at ``prec`` bits, private to one call."""
+    ctx = mp.MPContext()
+    ctx.prec = prec
+    return ctx
+
+
+def _public(x):
+    """An mpf or mpc of any context as the same exact global-context value."""
+    return mp.make_mpc(x._mpc_) if hasattr(x, "_mpc_") else mp.make_mpf(x._mpf_)
+
+
+def _mpf_ratio(q: Fraction, prec: int) -> tuple:
+    """``mpf(q.numerator) / q.denominator`` at ``prec`` bits as a libmp
+    value: the numerator is rounded, then the quotient."""
+    return libmp.mpf_div(
+        libmp.from_int(q.numerator, prec, _RND), libmp.from_int(q.denominator),
+        prec, _RND,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +133,8 @@ def _poly_derivative(p: Sequence[int]) -> tuple[int, ...]:
     return tuple((s - i) * p[i] for i in range(s))
 
 
-def _poly_eval_mp(p: Sequence[int], z) -> "mp.mpc":
-    acc = mp.mpf(0)
+def _poly_eval_mp(ctx: "mp.MPContext", p: Sequence[int], z) -> "mp.mpc":
+    acc = ctx.mpf(0)
     for c in p:
         acc = acc * z + c
     return acc
@@ -223,12 +257,14 @@ class RootDisk:
         re, im = self.center_fractions()
         r = self.radius_fraction()
         m2 = re * re + im * im
-        with mp.workprec(80):
-            c = mp.sqrt(mp.mpf(m2.numerator) / m2.denominator)
-            rr = mp.mpf(r.numerator) / r.denominator
-            pad = mp.mpf(2) ** -70
-            lo = c - rr - pad
-            return (lo if lo > 0 else mp.mpf(0), c + rr + pad)
+        c = libmp.mpf_sqrt(_mpf_ratio(m2, 80), 80, _RND)
+        rr = _mpf_ratio(r, 80)
+        pad = libmp.from_man_exp(1, -70)
+        lo = libmp.mpf_sub(libmp.mpf_sub(c, rr, 80, _RND), pad, 80, _RND)
+        hi = libmp.mpf_add(libmp.mpf_add(c, rr, 80, _RND), pad, 80, _RND)
+        if libmp.mpf_sign(lo) <= 0:
+            lo = libmp.fzero
+        return mp.make_mpf(lo), mp.make_mpf(hi)
 
     def real_interval(self) -> tuple[Fraction, Fraction]:
         if not self.is_real:
@@ -282,54 +318,46 @@ def _certified_roots(p: tuple[int, ...], precision_bits: int) -> tuple[RootDisk,
         raise NotSquarefree("polynomial has repeated roots")
     dp = _poly_derivative(p)
 
-    target = mp.mpf(2) ** (-precision_bits)
     prec = max(2 * precision_bits, 128)
+    ctx = _context(prec)
+    target = ctx.mpf(2) ** (-precision_bits)
     while prec <= PRECISION_CAP_BITS:
-        with mp.workprec(prec):
-            try:
-                roots = mp.polyroots(
-                    [mp.mpf(c) for c in p], maxsteps=200, extraprec=prec
-                )
-            except mp.libmp.NoConvergence:
-                prec *= 2
-                continue
-            disks: list[RootDisk] = []
-            ok = True
-            for z in roots:
-                dval = _poly_eval_mp(dp, z)
-                if dval == 0:
-                    ok = False
-                    break
-                radius = s * abs(_poly_eval_mp(p, z) / dval)
-                radius = radius * (1 + mp.mpf(2) ** -16) + mp.mpf(2) ** (-prec + 8)
-                is_real = abs(mp.im(z)) <= radius
-                if is_real:
-                    # snap to the axis; doubling the radius keeps containment
-                    z = mp.mpc(mp.re(z), 0)
-                    radius = 2 * radius
-                disks.append(RootDisk(mp.mpc(z), +radius, is_real))
-            if ok:
-                ok = all(d.radius <= target for d in disks)
-            if ok:
-                for i in range(len(disks)):
-                    for j in range(i + 1, len(disks)):
-                        if (
-                            abs(disks[i].center - disks[j].center)
-                            <= disks[i].radius + disks[j].radius
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                disks.sort(
-                    key=lambda d: (
-                        -float(abs(d.center)),
-                        -float(mp.re(d.center)),
-                        float(mp.im(d.center)),
-                    )
-                )
-                return tuple(disks)
+        ctx.prec = prec
+        try:
+            roots = ctx.polyroots(
+                [ctx.mpf(c) for c in p], maxsteps=200, extraprec=prec
+            )
+        except libmp.NoConvergence:
+            prec *= 2
+            continue
+        found: list[tuple] = []  # (center, radius, is_real)
+        ok = True
+        for z in roots:
+            dval = _poly_eval_mp(ctx, dp, z)
+            if dval == 0:
+                ok = False
+                break
+            radius = s * abs(_poly_eval_mp(ctx, p, z) / dval)
+            radius = radius * (1 + ctx.mpf(2) ** -16) + ctx.mpf(2) ** (-prec + 8)
+            is_real = abs(ctx.im(z)) <= radius
+            if is_real:
+                # snap to the axis; doubling the radius keeps containment
+                z = ctx.mpc(ctx.re(z), 0)
+                radius = 2 * radius
+            found.append((ctx.mpc(z), +radius, is_real))
+        if ok:
+            ok = all(r <= target for _, r, _ in found)
+        if ok:
+            ok = all(
+                abs(found[i][0] - found[j][0]) > found[i][1] + found[j][1]
+                for i in range(len(found))
+                for j in range(i + 1, len(found))
+            )
+        if ok:
+            found.sort(key=lambda d: (
+                -float(abs(d[0])), -float(d[0].real), float(d[0].imag)
+            ))
+            return tuple(RootDisk(_public(z), _public(r), real) for z, r, real in found)
         prec *= 2
     raise PrecisionExhausted(
         f"could not certify roots at width 2^-{precision_bits} under the precision cap"
@@ -581,7 +609,7 @@ def _root_bisection(poly: tuple[int, ...], disk: RootDisk) -> _RootBisection:
 class Classification:
     """kind: PV | Salem | HasConjugateOutside | Degenerate.  ``witness`` is the
     index (into the root list) of the certifying conjugate, ``modulus`` its
-    approximate modulus, and ``statuses`` the per-root verdicts
+    modulus rounded to 53 bits, and ``statuses`` the per-root verdicts
     ("in" / "out" / "circle")."""
 
     kind: str
@@ -663,23 +691,23 @@ def _classification(ai: AlgebraicInteger, cap_bits: int) -> Classification:
     if not dom_ok:
         return Classification("Degenerate", None, None, statuses)
 
+    # conjugate moduli at 53 bits
+    modulus = [mp.make_mpf(libmp.mpc_abs(d.center._mpc_, 53, _RND)) for d in disks]
     others = [i for i in range(len(disks)) if i != ai.root_index]
     outside = [i for i in others if statuses[i] == "out"]
     on_circle = [i for i in others if statuses[i] == "circle"]
     if outside:
-        witness = max(
-            outside, key=lambda i: (float(abs(disks[i].center)), -i)
-        )
+        witness = max(outside, key=lambda i: (modulus[i], -i))
         return Classification(
-            "HasConjugateOutside", witness, abs(disks[witness].center), statuses
+            "HasConjugateOutside", witness, modulus[witness], statuses
         )
     if on_circle:
         witness = on_circle[0]
-        return Classification("Salem", witness, abs(disks[witness].center), statuses)
+        return Classification("Salem", witness, modulus[witness], statuses)
     if not others:
         return Classification("PV", None, None, statuses)
-    witness = max(others, key=lambda i: (float(abs(disks[i].center)), -i))
-    return Classification("PV", witness, abs(disks[witness].center), statuses)
+    witness = max(others, key=lambda i: (modulus[i], -i))
+    return Classification("PV", witness, modulus[witness], statuses)
 
 
 # ---------------------------------------------------------------------------
@@ -868,17 +896,22 @@ def _ceil_log_ratio(ai: AlgebraicInteger, theta2_index: int) -> int:
     bits = max(ai.precision_bits, 64)
     while bits <= 2**14:
         disks = certify_roots(p, bits)
-        with mp.workprec(bits + 32):
-            d1 = disks[ai.root_index]
-            d2 = disks[theta2_index]
-            t_lo = mp.re(d1.center) - d1.radius
-            t_hi = mp.re(d1.center) + d1.radius
-            m_lo = abs(d2.center) - d2.radius
-            m_hi = abs(d2.center) + d2.radius
-            val_lo = s * mp.log(t_lo) / mp.log(m_hi)
-            val_hi = s * mp.log(t_hi) / mp.log(m_lo)
-            if mp.floor(val_lo) == mp.floor(val_hi) and val_lo != mp.floor(val_lo):
-                return int(mp.floor(val_hi)) + (0 if val_hi == mp.floor(val_hi) else 1)
+        w = bits + 32
+        d1 = disks[ai.root_index]
+        d2 = disks[theta2_index]
+        t, r1, r2 = d1.center.real._mpf_, d1.radius._mpf_, d2.radius._mpf_
+        m = libmp.mpc_abs(d2.center._mpc_, w, _RND)
+
+        def ratio(a, b):  # s log(a) / log(b) at w bits
+            num = libmp.mpf_mul_int(libmp.mpf_log(a, w, _RND), s, w, _RND)
+            return libmp.mpf_div(num, libmp.mpf_log(b, w, _RND), w, _RND)
+
+        val_lo = ratio(libmp.mpf_sub(t, r1, w, _RND), libmp.mpf_add(m, r2, w, _RND))
+        val_hi = ratio(libmp.mpf_add(t, r1, w, _RND), libmp.mpf_sub(m, r2, w, _RND))
+        f_lo = libmp.mpf_floor(val_lo, w, _RND)
+        f_hi = libmp.mpf_floor(val_hi, w, _RND)
+        if libmp.mpf_eq(f_lo, f_hi) and not libmp.mpf_eq(val_lo, f_lo):
+            return int(libmp.to_int(f_hi)) + (0 if libmp.mpf_eq(val_hi, f_hi) else 1)
         bits *= 2
     raise PrecisionExhausted("cannot certify the ceiling of the log ratio")
 
@@ -908,19 +941,21 @@ def _decay_constants(ai: AlgebraicInteger, cap_bits: int) -> PropAlgConstants:
     theta2_index = cls.witness
     assert theta2_index is not None
     beta = 1 + _ceil_log_ratio(ai, theta2_index)
-    with mp.workprec(max(ai.precision_bits, 64) + 32):
-        alpha = mp.mpf(delta1.numerator) ** 2 / (
-            mp.mpf(delta1.denominator) ** 2 * mp.log(beta)
-        )
-        return PropAlgConstants(
-            alpha=+alpha,
-            beta=beta,
-            delta1=delta1,
-            s=s,
-            height=H,
-            theta2_index=theta2_index,
-            theta2_modulus=abs(ai.roots[theta2_index].center),
-        )
+    w = max(ai.precision_bits, 64) + 32
+    num = libmp.mpf_pow_int(libmp.from_int(delta1.numerator, w, _RND), 2, w, _RND)
+    den = libmp.mpf_pow_int(libmp.from_int(delta1.denominator, w, _RND), 2, w, _RND)
+    den = libmp.mpf_mul(den, libmp.mpf_log(libmp.from_int(beta), w, _RND), w, _RND)
+    return PropAlgConstants(
+        alpha=mp.make_mpf(libmp.mpf_div(num, den, w, _RND)),
+        beta=beta,
+        delta1=delta1,
+        s=s,
+        height=H,
+        theta2_index=theta2_index,
+        theta2_modulus=mp.make_mpf(
+            libmp.mpc_abs(ai.roots[theta2_index].center._mpc_, w, _RND)
+        ),
+    )
 
 
 def garsia_lower_bound(
@@ -943,26 +978,32 @@ def garsia_lower_bound(
     if not 0 <= q_degree <= s - 1:
         raise ValueError("degree of Q must lie in [0, s-1]")
     statuses, disks = _root_statuses(ai, cap_bits)
-    with mp.workprec(max(ai.precision_bits, 64) + 32):
-        numerator = mp.mpf(1)
-        expanding = mp.mpf(1)
-        for j, (st, d) in enumerate(zip(statuses, disks)):
-            if j == conj_index:
-                continue
-            # outward-rounded modulus bounds keep the result a true lower
-            # bound: shrink every numerator term, grow the denominator
-            lo, hi = d.modulus_interval()
-            if st == "in":
-                term = 1 - hi
-            elif st == "out":
-                term = lo - 1
-                expanding *= hi
-            else:
-                continue
-            if term <= 0:
-                raise PrecisionExhausted(
-                    "root disk too wide to separate its modulus from 1"
-                )
-            numerator *= term
-        denom = mp.mpf(s) ** (s - 2) * expanding**s * mp.mpf(q_height) ** s
-        return +(numerator / denom)
+    w = max(ai.precision_bits, 64) + 32
+    numerator = expanding = libmp.fone
+    for j, (st, d) in enumerate(zip(statuses, disks)):
+        if j == conj_index:
+            continue
+        # outward-rounded modulus bounds keep the result a true lower
+        # bound: shrink every numerator term, grow the denominator
+        lo, hi = (x._mpf_ for x in d.modulus_interval())
+        if st == "in":
+            term = libmp.mpf_sub(libmp.fone, hi, w, _RND)
+        elif st == "out":
+            term = libmp.mpf_sub(lo, libmp.fone, w, _RND)
+            expanding = libmp.mpf_mul(expanding, hi, w, _RND)
+        else:
+            continue
+        if libmp.mpf_sign(term) <= 0:
+            raise PrecisionExhausted(
+                "root disk too wide to separate its modulus from 1"
+            )
+        numerator = libmp.mpf_mul(numerator, term, w, _RND)
+    denom = libmp.mpf_mul(
+        libmp.mpf_pow_int(libmp.from_int(s, w, _RND), s - 2, w, _RND),
+        libmp.mpf_pow_int(expanding, s, w, _RND), w, _RND,
+    )
+    denom = libmp.mpf_mul(
+        denom, libmp.mpf_pow_int(libmp.from_int(q_height, w, _RND), s, w, _RND),
+        w, _RND,
+    )
+    return mp.make_mpf(libmp.mpf_div(numerator, denom, w, _RND))

@@ -63,7 +63,6 @@ from .flows import (
 )
 from .riesz import DEFAULT_PRECISION_BITS
 from .spectral import (
-    _perron_theta,
     dioph_constants,
     dioph_product_bound,
     local_dimension_bound,
@@ -359,8 +358,6 @@ def cmd_spectral(args) -> int:
         except PrecisionExhausted as exc:
             return (om, n, f"PrecisionExhausted: {exc}") + (None,) * 9
 
-    # theta first: its cold perron_data call sets mpmath's global precision
-    _perron_theta(zeta)
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(one, grid))

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 
 from .algebraic import (
     PRECISION_CAP_BITS,
@@ -31,8 +32,12 @@ from .algebraic import (
     prop_alg_constants,
     zt_mul_theta,
     zt_value_interval,
+    _context,
+    _mpf_ratio,
     _mpf_to_fraction,
     _poly_degree,
+    _public,
+    _RND,
     _scaled_bracket,
     _zt_scaled,
 )
@@ -408,105 +413,107 @@ def prop_alg_product(
     for e in seq.eps:
         partial += e * e
         log_values.append(partial)
-    with mp.workprec(120):
-        values = tuple(
-            float(mp.exp(-mp.mpf(p.numerator) / p.denominator))
-            for p in log_values
-        )
-        log_value = -mp.mpf(partial.numerator) / partial.denominator
-        value = mp.exp(log_value)
+    # exp(-partial sum) at 120 bits
+    values = tuple(
+        libmp.to_float(libmp.mpf_exp(_mpf_ratio(-p, 120), 120, _RND), rnd=_RND)
+        for p in log_values
+    )
+    log_value = _mpf_ratio(-partial, 120)
+    value = mp.make_mpf(libmp.mpf_exp(log_value, 120, _RND))
+    log_value = mp.make_mpf(log_value)
 
-        # branch bookkeeping
-        if t_lo >= 1:
-            branch = "t>=1"
-            branch_min_n = 1
-            t_mid = (t_lo + t_hi) / 2
-            if consts is not None:
-                t_factor = (
-                    mp.log(1 + mp.mpf(t_mid.numerator) / t_mid.denominator)
-                    ** (1 / mp.log(consts.beta))
-                )
-            else:
-                t_factor = mp.mpf(1)
-        else:
-            branch = "small-t"
-            t_factor = mp.mpf(1)
-            # smallest j >= 1 with t theta^j >= 1, decided exactly
-            x, q = _normalize_t(ai, t)
-            j = 0
-            while True:
-                j += 1
-                x = zt_mul_theta(x, ai)
-                if _certified_cmp_one(ai, x, q) >= 0:
-                    break
-            branch_min_n = 2 * j
-
-        # slope of log(value) vs log(n) over the upper range
-        lo_n = max(2, N // 10)
-        xs = [math.log(n) for n in range(lo_n, N + 1)]
-        ys = [math.log(values[n - 1]) for n in range(lo_n, N + 1)]
-        if len(xs) >= 2:
-            xbar = sum(xs) / len(xs)
-            ybar = sum(ys) / len(ys)
-            denom = sum((x - xbar) ** 2 for x in xs)
-            slope = (
-                sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
-                if denom > 0
-                else 0.0
+    # branch bookkeeping
+    t_factor = libmp.fone
+    if t_lo >= 1:
+        branch = "t>=1"
+        branch_min_n = 1
+        t_mid = (t_lo + t_hi) / 2
+        if consts is not None:
+            # log(1 + t)^(1 / log beta) at 120 bits
+            x = libmp.mpf_add(_mpf_ratio(t_mid, 120), libmp.fone, 120, _RND)
+            e = libmp.mpf_rdiv_int(
+                1, libmp.mpf_log(libmp.from_int(consts.beta), 120, _RND), 120, _RND
             )
-        else:
-            slope = 0.0
+            t_factor = libmp.mpf_pow(libmp.mpf_log(x, 120, _RND), e, 120, _RND)
+    else:
+        branch = "small-t"
+        # smallest j >= 1 with t theta^j >= 1, decided exactly
+        x, q = _normalize_t(ai, t)
+        j = 0
+        while True:
+            j += 1
+            x = zt_mul_theta(x, ai)
+            if _certified_cmp_one(ai, x, q) >= 0:
+                break
+        branch_min_n = 2 * j
+    t_factor = mp.make_mpf(t_factor)
 
-        if consts is None:
-            return ProductReport(
-                value=+value,
-                log_value=+log_value,
-                N=N,
-                alpha=None,
-                beta=None,
-                delta1=None,
-                branch=branch,
-                branch_min_n=branch_min_n,
-                t_factor=+t_factor,
-                fitted_C=None,
-                fitted_exponent=slope,
-                bound_ok=None,
-                hypothesis_violated=True,
-                values=values,
-            )
-
-        alpha = consts.alpha
-        # fit C on the first half, check the bound on the second half
-        fit_lo = max(branch_min_n, 2)
-        fit_hi = max(fit_lo, N // 2)
-        tf = float(t_factor) if float(t_factor) > 0 else 1.0
-        C_candidates = [
-            values[n - 1] * n ** float(alpha) / tf
-            for n in range(fit_lo, fit_hi + 1)
-        ]
-        if not C_candidates:
-            C_candidates = [values[-1] * N ** float(alpha) / tf]
-        fitted_C = mp.mpf(max(C_candidates))
-        bound_ok = all(
-            values[n - 1] <= float(fitted_C) * tf * n ** (-float(alpha)) * (1 + 1e-9)
-            for n in range(fit_hi + 1, N + 1)
+    # slope of log(value) vs log(n) over the upper range
+    lo_n = max(2, N // 10)
+    xs = [math.log(n) for n in range(lo_n, N + 1)]
+    ys = [math.log(values[n - 1]) for n in range(lo_n, N + 1)]
+    if len(xs) >= 2:
+        xbar = sum(xs) / len(xs)
+        ybar = sum(ys) / len(ys)
+        denom = sum((x - xbar) ** 2 for x in xs)
+        slope = (
+            sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
+            if denom > 0
+            else 0.0
         )
+    else:
+        slope = 0.0
+
+    if consts is None:
         return ProductReport(
-            value=+value,
-            log_value=+log_value,
+            value=value,
+            log_value=log_value,
             N=N,
-            alpha=+alpha,
-            beta=consts.beta,
-            delta1=consts.delta1,
+            alpha=None,
+            beta=None,
+            delta1=None,
             branch=branch,
             branch_min_n=branch_min_n,
-            t_factor=+t_factor,
-            fitted_C=+fitted_C,
+            t_factor=t_factor,
+            fitted_C=None,
             fitted_exponent=slope,
-            bound_ok=bound_ok,
-            hypothesis_violated=hypothesis_violated,
+            bound_ok=None,
+            hypothesis_violated=True,
             values=values,
         )
+
+    alpha = consts.alpha
+    # fit C on the first half, check the bound on the second half
+    fit_lo = max(branch_min_n, 2)
+    fit_hi = max(fit_lo, N // 2)
+    tf = float(t_factor) if float(t_factor) > 0 else 1.0
+    C_candidates = [
+        values[n - 1] * n ** float(alpha) / tf
+        for n in range(fit_lo, fit_hi + 1)
+    ]
+    if not C_candidates:
+        C_candidates = [values[-1] * N ** float(alpha) / tf]
+    fitted_C = max(C_candidates)
+    bound_ok = all(
+        values[n - 1] <= fitted_C * tf * n ** (-float(alpha)) * (1 + 1e-9)
+        for n in range(fit_hi + 1, N + 1)
+    )
+    return ProductReport(
+        value=value,
+        log_value=log_value,
+        N=N,
+        alpha=mp.make_mpf(libmp.mpf_pos(alpha._mpf_, 120, _RND)),
+        beta=consts.beta,
+        delta1=consts.delta1,
+        branch=branch,
+        branch_min_n=branch_min_n,
+        t_factor=t_factor,
+        fitted_C=mp.make_mpf(libmp.from_float(fitted_C)),
+        fitted_exponent=slope,
+        bound_ok=bound_ok,
+        hypothesis_violated=hypothesis_violated,
+        values=values,
+    )
 
 
 def _certified_cmp_one(ai, x, q) -> int:
@@ -541,57 +548,55 @@ class EKConstants(NamedTuple):
     theta1: "mp.mpf"
 
 
-def _to_mpc_list(theta_list) -> tuple["mp.mpc", ...]:
-    """Convert eigenvalues to mpc at the *current* working precision.
-
-    Must be called inside the ``mp.workprec`` block that will use the
-    values: mpmath constructors round to the ambient precision, so
-    converting outside the block would silently truncate high-precision
-    inputs."""
-    return tuple(mp.mpc(z) for z in theta_list)
-
-
 def ek_constants(theta_list: Sequence, precision_bits: int = 160) -> EKConstants:
     """Vandermonde constants for a list of distinct nonzero eigenvalues.
 
     Theta has entry (i, j) = theta_j^i for i = 0..m-1; rho and L are
     1/2 * (1 + theta1*norm*inv_norm)^-1 and ceil(2 + theta1*norm*inv_norm),
-    with theta1 the largest modulus."""
+    with theta1 the largest modulus.  Computed at ``precision_bits`` in a
+    private context."""
     m = len(theta_list)
     if m == 0:
         raise ValueError("need at least one eigenvalue")
-    with mp.workprec(precision_bits):
-        zs = _to_mpc_list(theta_list)
-        for i in range(m):
-            if zs[i] == 0:
-                raise ZeroEigenvalue("zero eigenvalue not allowed")
-            for j in range(i + 1, m):
-                if zs[i] == zs[j]:
-                    raise RepeatedEigenvalue(f"eigenvalue {zs[i]} repeated")
-        V = mp.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                V[i, j] = zs[j] ** i
-        Vinv = V**-1
-        norm = max(
-            mp.fsum(abs(V[i, j]) for j in range(m)) for i in range(m)
-        )
-        inv_norm = max(
-            mp.fsum(abs(Vinv[i, j]) for j in range(m)) for i in range(m)
-        )
-        theta1 = max(abs(z) for z in zs)
-        L_exact = 2 + theta1 * norm * inv_norm
-        L = int(mp.ceil(L_exact - mp.mpf(2) ** (-precision_bits // 2)))
-        rho = 1 / (2 * (1 + theta1 * norm * inv_norm))
-        return EKConstants(
-            rho=+rho,
-            L=L,
-            L_exact=+L_exact,
-            theta_list=zs,
-            vandermonde_norm=+norm,
-            vandermonde_inv_norm=+inv_norm,
-            theta1=+theta1,
-        )
+    ctx = _context(precision_bits)
+    zs = tuple(ctx.mpc(z) for z in theta_list)
+    for i in range(m):
+        if zs[i] == 0:
+            raise ZeroEigenvalue("zero eigenvalue not allowed")
+        for j in range(i + 1, m):
+            if zs[i] == zs[j]:
+                raise RepeatedEigenvalue(f"eigenvalue {zs[i]} repeated")
+    V = _vandermonde(ctx, zs)
+    Vinv = V**-1
+    norm = max(
+        ctx.fsum(abs(V[i, j]) for j in range(m)) for i in range(m)
+    )
+    inv_norm = max(
+        ctx.fsum(abs(Vinv[i, j]) for j in range(m)) for i in range(m)
+    )
+    theta1 = max(abs(z) for z in zs)
+    L_exact = 2 + theta1 * norm * inv_norm
+    L = int(ctx.ceil(L_exact - ctx.mpf(2) ** (-precision_bits // 2)))
+    rho = 1 / (2 * (1 + theta1 * norm * inv_norm))
+    return EKConstants(
+        rho=_public(rho),
+        L=L,
+        L_exact=_public(L_exact),
+        theta_list=tuple(_public(z) for z in zs),
+        vandermonde_norm=_public(norm),
+        vandermonde_inv_norm=_public(inv_norm),
+        theta1=_public(theta1),
+    )
+
+
+def _vandermonde(ctx, zs) -> "mp.matrix":
+    """The matrix (zs[j]^i) in ``ctx``."""
+    m = len(zs)
+    V = ctx.matrix(m, m)
+    for i in range(m):
+        for j in range(m):
+            V[i, j] = zs[j] ** i
+    return V
 
 
 def ek_dimension_bound(L: int, m: int, k: int, theta_modulus) -> float:
@@ -627,32 +632,33 @@ def ek_step_predict(
     m = len(consts.theta_list)
     if len(K_window) != m:
         raise ValueError(f"window must have {m} entries")
-    with mp.workprec(precision_bits):
-        zs = consts.theta_list
-        V = mp.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                V[i, j] = zs[j] ** i
-        Vinv = V**-1
-        y = Vinv * mp.matrix([mp.mpc(int(k)) for k in K_window])
-        nxt = mp.fsum(zs[j] ** m * y[j] for j in range(m))
-        pred = mp.re(nxt)
-        halfwidth = (consts.L_exact - 1) / 2
-        lo = int(mp.floor(pred - halfwidth))
-        hi = int(mp.ceil(pred + halfwidth))
-        candidates = tuple(
-            c for c in range(lo, hi + 1) if abs(pred - c) <= halfwidth + mp.mpf(2) ** -40
-        )
-        best = int(mp.nint(pred))
-        margin = consts.rho * consts.theta1 * consts.vandermonde_norm * consts.vandermonde_inv_norm
-        slack = mp.mpf(2) ** -40
-        unique = bool(abs(pred - best) + margin + slack < mp.mpf("0.5")) or len(candidates) == 1
-        return EKPrediction(
-            predicted=float(pred),
-            best=best,
-            candidates=candidates,
-            unique=unique,
-        )
+    ctx = _context(precision_bits)
+    zs = [ctx.convert(z) for z in consts.theta_list]
+    window = ctx.matrix([ctx.mpc(int(k)) for k in K_window])
+    y = _vandermonde(ctx, zs) ** -1 * window
+    nxt = ctx.fsum(zs[j] ** m * y[j] for j in range(m))
+    pred = ctx.re(nxt)
+    halfwidth = (ctx.convert(consts.L_exact) - 1) / 2
+    lo = int(ctx.floor(pred - halfwidth))
+    hi = int(ctx.ceil(pred + halfwidth))
+    slack = ctx.mpf(2) ** -40
+    candidates = tuple(
+        c for c in range(lo, hi + 1) if abs(pred - c) <= halfwidth + slack
+    )
+    best = int(ctx.nint(pred))
+    margin = (
+        ctx.convert(consts.rho) * consts.theta1 * consts.vandermonde_norm
+        * consts.vandermonde_inv_norm
+    )
+    unique = (
+        bool(abs(pred - best) + margin + slack < ctx.mpf("0.5")) or len(candidates) == 1
+    )
+    return EKPrediction(
+        predicted=float(pred),
+        best=best,
+        candidates=candidates,
+        unique=unique,
+    )
 
 
 class EKFrequencyReport(NamedTuple):
@@ -681,22 +687,23 @@ def ek_frequency(
     m = len(theta_list)
     if len(a_coeffs) != m:
         raise ValueError("need one coefficient per eigenvalue")
-    # validation only needs moderate accuracy; working copies are
-    # re-converted from the original inputs at every precision level
-    zs0 = _to_mpc_list(theta_list)
-    avals0 = tuple(mp.mpc(a) for a in a_coeffs)
-    if avals0[0] != 1:
+    # validation needs only moderate accuracy: 53 bits; every precision
+    # level re-converts the working copies from the original inputs
+    ctx = _context(53)
+    zs = tuple(ctx.mpc(z) for z in theta_list)
+    avals = tuple(ctx.mpc(a) for a in a_coeffs)
+    if avals[0] != 1:
         raise ValueError("leading coefficient must be exactly 1")
-    tol = mp.mpf(2) ** -30
+    tol = ctx.mpf(2) ** -30
     for i in range(m):
         partner = None
         for j in range(m):
-            if abs(zs0[j] - mp.conj(zs0[i])) <= tol * (1 + abs(zs0[i])):
+            if abs(zs[j] - ctx.conj(zs[i])) <= tol * (1 + abs(zs[i])):
                 partner = j
                 break
         if partner is None or abs(
-            avals0[partner] - mp.conj(avals0[i])
-        ) > tol * (1 + abs(avals0[i])):
+            avals[partner] - ctx.conj(avals[i])
+        ) > tol * (1 + abs(avals[i])):
             raise ValueError("coefficients must be conjugate-symmetric")
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -704,44 +711,44 @@ def ek_frequency(
     if not 0 < rho_f <= Fraction(1, 2):
         raise ValueError("rho must lie in (0, 1/2]")
     om = omega
-    theta_max0 = max((abs(z) for z in zs0), default=mp.mpf(1))
-    base_bits = precision_bits or int(N * mp.log(max(theta_max0, 2), 2)) + 96
+    theta_max = max((abs(z) for z in zs), default=ctx.mpf(1))
+    base_bits = precision_bits or int(N * ctx.log(max(theta_max, 2), 2)) + 96
     bits = max(base_bits, 96)
     while bits <= PRECISION_CAP_BITS:
-        with mp.workprec(bits):
-            zs = _to_mpc_list(theta_list)
-            rr = mp.mpf(rho_f.numerator) / rho_f.denominator
-            omv = mp.mpf(om) if not isinstance(om, Fraction) else mp.mpf(
-                om.numerator
-            ) / om.denominator
-            avals = tuple(mp.mpc(a) for a in a_coeffs)
-            theta_max = max((abs(z) for z in zs), default=mp.mpf(1))
-            powers = [mp.mpc(a) for a in avals]
-            # running bound on the accumulated rounding error of x
-            mag = mp.fsum(abs(a) for a in avals) * (abs(omv) + 1)
-            ulp = mp.mpf(2) ** (4 - bits)
-            count = 0
-            distances = []
-            ambiguous = False
-            for n in range(1, N + 1):
-                powers = [powers[j] * zs[j] for j in range(m)]
-                mag = mag * theta_max
-                x = omv * mp.re(mp.fsum(powers))
-                guard = mag * (n + 3) * ulp
-                d = abs(x - mp.nint(x))
-                distances.append(float(d))
-                if abs(d - rr) <= guard:
-                    ambiguous = True
-                    break
-                if d >= rr:
-                    count += 1
-            if not ambiguous:
-                return EKFrequencyReport(
-                    count=count,
-                    fraction=count / N,
-                    N=N,
-                    rho=rho_f,
-                    distances=tuple(distances),
-                )
+        ctx.prec = bits
+        zs = tuple(ctx.mpc(z) for z in theta_list)
+        rr = ctx.mpf(rho_f.numerator) / rho_f.denominator
+        omv = ctx.mpf(om) if not isinstance(om, Fraction) else ctx.mpf(
+            om.numerator
+        ) / om.denominator
+        avals = tuple(ctx.mpc(a) for a in a_coeffs)
+        theta_max = max((abs(z) for z in zs), default=ctx.mpf(1))
+        powers = [ctx.mpc(a) for a in avals]
+        # running bound on the accumulated rounding error of x
+        mag = ctx.fsum(abs(a) for a in avals) * (abs(omv) + 1)
+        ulp = ctx.mpf(2) ** (4 - bits)
+        count = 0
+        distances = []
+        ambiguous = False
+        for n in range(1, N + 1):
+            powers = [powers[j] * zs[j] for j in range(m)]
+            mag = mag * theta_max
+            x = omv * ctx.re(ctx.fsum(powers))
+            guard = mag * (n + 3) * ulp
+            d = abs(x - ctx.nint(x))
+            distances.append(float(d))
+            if abs(d - rr) <= guard:
+                ambiguous = True
+                break
+            if d >= rr:
+                count += 1
+        if not ambiguous:
+            return EKFrequencyReport(
+                count=count,
+                fraction=count / N,
+                N=N,
+                rho=rho_f,
+                distances=tuple(distances),
+            )
         bits *= 2
     raise PrecisionExhausted("distance comparison against rho undecided")

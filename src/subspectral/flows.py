@@ -45,12 +45,14 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .algebraic import (
     AlgebraicInteger,
     RootDisk,
     ZThetaElement,
     _mpf_to_fraction,
+    _RND,
     _poly_derivative,
     _poly_divexact,
     _poly_gcd,
@@ -768,7 +770,10 @@ def log_holder_certificate(
     )
     consts = flow_dioph_constants(flow_p, word, k_max=k_max)
 
-    gamma = float(2 * consts.c1 * alg.alpha)
+    # 2 c1 alpha at 53 bits, with 2 c1 rounded down to 53 bits first
+    c1 = 2 * consts.c1
+    c1 = libmp.from_rational(c1.numerator, c1.denominator, 53, libmp.round_down)
+    gamma = libmp.to_float(libmp.mpf_mul(alg.alpha._mpf_, c1, 53, _RND), rnd=_RND)
     C_B = PI_SQUARED_UPPER / 4 * float(consts.Cpp) ** 2
     r0 = min(0.5, 1.0 / (2 * Bf * consts.theta**consts.C2))
 
@@ -1115,18 +1120,19 @@ def _frequency_measures(
             r = [-x for x in r]
         tot = sum(x * s for x, s in zip(r, flow.roof))
         return tuple(x * s / tot for x, s in zip(r, flow.roof)), True
-    with mp.workprec(200):
-        vals = []
-        tot = mp.mpf(0)
-        for j in range(m):
-            v = (
-                pd.r_vec[j]
-                * mp.mpf(flow.roof[j].numerator)
-                / mp.mpf(flow.roof[j].denominator)
-            )
-            vals.append(v)
-            tot += v
-        return tuple(_mpf_to_fraction(v / tot) for v in vals), False
+    # r_j s_j and their sum at 200 bits
+    vals = []
+    tot = libmp.fzero
+    for j in range(m):
+        num = libmp.from_int(flow.roof[j].numerator, 200, _RND)
+        den = libmp.from_int(flow.roof[j].denominator, 200, _RND)
+        v = libmp.mpf_mul(pd.r_vec[j]._mpf_, num, 200, _RND)
+        vals.append(libmp.mpf_div(v, den, 200, _RND))
+        tot = libmp.mpf_add(tot, vals[-1], 200, _RND)
+    return tuple(
+        _mpf_to_fraction(mp.make_mpf(libmp.mpf_div(v, tot, 200, _RND)))
+        for v in vals
+    ), False
 
 
 def _check_mean_zero(flow: SuspensionFlow, d: Sequence[Fraction]) -> None:

@@ -58,7 +58,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from .algebraic import _mpf_to_fraction
+from .algebraic import _context, _mpf_to_fraction, _public
 from .errors import BudgetExceeded
 from .substitution import (
     Substitution,
@@ -525,7 +525,7 @@ def phi_recursive(
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
-        return mp.mpc(1 if a == b else 0)
+        return _to_mpc((int(a == b), 0), 0)
     z = _product(zeta, n, as_exact(omega), None, precision_bits)[b - 1][a - 1]
     return _to_mpc(z, precision_bits)
 
@@ -597,28 +597,29 @@ def riesz_density(
     Entry (a, b) is the geometric-normalization of the Gram sum of twisted
     sums of all level-``n`` images: Sum_j phi_a(image_n(j)) *
     conj(phi_b(image_n(j))), divided by theta^n and by the product of the
-    frequency-vector and length-vector normalizers.  Always Hermitian and
-    positive semidefinite (it is a conjugated Gram matrix)."""
+    frequency-vector and length-vector normalizers, computed at
+    ``precision_bits`` in a private context.  Always Hermitian and positive
+    semidefinite (it is a conjugated Gram matrix)."""
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if pd is None:
         pd = perron_data(substitution_matrix(zeta))
     om = as_exact(omega)
     m = zeta.m
-    with mp.workprec(precision_bits):
-        if n == 0:
-            P = tuple(tuple(mp.mpc(int(i == j)) for j in range(m)) for i in range(m))
-        else:
-            P = riesz_product(zeta, n, om, None, precision_bits).matrix
-        theta = +pd.theta
-        scale = 1 / (mp.fsum(pd.r_vec) * mp.fsum(pd.l_vec) * theta**n)
-        rows = []
-        for aa in range(m):
-            row = []
-            for bb in range(m):
-                acc = mp.fsum(
-                    (P[j][aa] * mp.conj(P[j][bb]) for j in range(m)),
-                )
-                row.append(acc * scale)
-            rows.append(tuple(row))
-        return tuple(rows)
+    ctx = _context(precision_bits)
+    if n == 0:
+        P = tuple(tuple(ctx.mpc(int(i == j)) for j in range(m)) for i in range(m))
+    else:
+        P = tuple(
+            tuple(ctx.convert(z) for z in row)
+            for row in riesz_product(zeta, n, om, None, precision_bits).matrix
+        )
+    theta = ctx.mpf(pd.theta)
+    scale = 1 / (ctx.fsum(pd.r_vec) * ctx.fsum(pd.l_vec) * theta**n)
+    return tuple(
+        tuple(
+            _public(ctx.fsum(P[j][aa] * ctx.conj(P[j][bb]) for j in range(m)) * scale)
+            for bb in range(m)
+        )
+        for aa in range(m)
+    )

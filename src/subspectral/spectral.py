@@ -37,7 +37,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from .algebraic import AlgebraicInteger, _mpf_to_fraction, _root_statuses
+from .algebraic import AlgebraicInteger, _mpf_to_fraction, _RND, _root_statuses
 from .errors import (
     NotFound,
     NotMeanZero,
@@ -275,9 +275,12 @@ def dioph_constants(zeta: Substitution, v, k_max: int = 30) -> DiophConstants:
     c3_values = [Fraction(x[c - 1], 2 * m * R * max(x)) for x in levels]
 
     pd = perron_data(substitution_matrix(zeta), precision_bits=96)
-    with mp.workprec(160):
-        limit = pd.l_vec[c - 1] / (2 * m * R * max(pd.l_vec))
-    limit_frac = _mpf_to_fraction(limit)
+    # l_c / (2 m R max l) at 160 bits
+    limit = libmp.mpf_div(
+        pd.l_vec[c - 1]._mpf_,
+        libmp.mpf_mul_int(max(pd.l_vec)._mpf_, 2 * m * R, 160, _RND), 160, _RND,
+    )
+    limit_frac = _mpf_to_fraction(mp.make_mpf(limit))
     # shave a margin off the eigenvector-based limit: the eigenvector is
     # residual-certified, not interval-certified
     c3_limit = limit_frac * (1 - Fraction(1, 2**20))
@@ -801,7 +804,12 @@ def zero_exponent_scan(
         ai = AlgebraicInteger.from_poly(poly, 128)
         statuses, disks = _root_statuses(ai)
         others = [i for i in range(len(disks)) if i != ai.root_index]
-        mid = lambda i: float(sum(disks[i].modulus_interval()) / 2)
+
+        def mid(i):  # midpoint of the modulus enclosure, summed at 53 bits
+            lo, hi = (x._mpf_ for x in disks[i].modulus_interval())
+            total = libmp.mpf_add(libmp.mpf_pos(lo, 53, _RND), hi, 53, _RND)
+            return libmp.to_float(libmp.mpf_shift(total, -1), rnd=_RND)
+
         out = [i for i in others if statuses[i] == "out"]
         circle = [i for i in others if statuses[i] == "circle"]
         if out:

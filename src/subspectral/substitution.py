@@ -22,9 +22,11 @@ and a new ``Substitution`` range-checks each image with ``min``/``max``.
 go through the unchecked ``Substitution._expand``.
 
 The canonical fixed point u = zeta^k(u) lives in ``_fixed_point``: for the
-32 latest substitutions, zeta^k and the longest prefix of u read so far,
-which ``fixed_point_prefix`` slices, or grows for a longer request.  Every
-orbit reader in the package reads it; the memo only stores longer words.
+32 latest substitutions, zeta^k and the longest prefix of u read so far, up
+to ``_FIXED_POINT_LETTERS`` letters, which ``fixed_point_prefix`` slices, or
+grows for a longer request.  Every orbit reader in the package reads it; the
+memo only stores longer words, and a longer request is returned but stored
+only up to the cap.
 
 The one return-word power search is ``return_word_power``: the smallest p
 with v + c inside every zeta^p(b).  It refuses (``BudgetExceeded``) before
@@ -42,8 +44,15 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 
-from .algebraic import _mpf_to_fraction, _poly_sign_scaled, _RootBisection
+from .algebraic import (
+    _context,
+    _mpf_to_fraction,
+    _poly_sign_scaled,
+    _public,
+    _RootBisection,
+)
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -425,13 +434,13 @@ class PerronData:
 
 def _adjugate_column(A: "mp.matrix") -> "mp.matrix":
     """Best column of the adjugate of A (rank-1 when A is nearly singular)."""
-    n = A.rows
+    ctx, n = A.ctx, A.rows
     if n == 1:
-        return mp.matrix([1])
-    adj = mp.matrix(n, n)
+        return ctx.matrix([1])
+    adj = ctx.matrix(n, n)
     for i in range(n):
         for j in range(n):
-            minor = mp.matrix(n - 1, n - 1)
+            minor = ctx.matrix(n - 1, n - 1)
             for r in range(n):
                 if r == j:
                     continue
@@ -439,7 +448,7 @@ def _adjugate_column(A: "mp.matrix") -> "mp.matrix":
                     if c == i:
                         continue
                     minor[r - (r > j), c - (c > i)] = A[r, c]
-            adj[i, j] = (-1) ** (i + j) * mp.det(minor)
+            adj[i, j] = (-1) ** (i + j) * ctx.det(minor)
     best, best_norm = None, -1
     for j in range(n):
         col = adj[:, j]
@@ -449,28 +458,29 @@ def _adjugate_column(A: "mp.matrix") -> "mp.matrix":
     return best
 
 
-def _dominant_root_seed(poly: tuple[int, ...]) -> "mp.mpf":
+def _dominant_root_seed(poly: tuple[int, ...], prec: int) -> "mp.mpf":
     """Real part of the largest-modulus root of ``poly`` (descending) from
-    ``mp.polyroots`` at the working precision.  Where polyroots does not
-    converge there (a repeated root can stall it at high precision), the
-    seed is taken at 53 + 64 bits: it only centres a bracket that is then
-    checked exactly."""
-    coeffs = [mp.mpf(c) for c in poly]
+    ``polyroots`` at ``prec`` bits, in a private context.  Where polyroots
+    does not converge there (a repeated root can stall it at high
+    precision), the seed is taken at 53 + 64 bits: it only centres a
+    bracket that is then checked exactly."""
+    ctx = _context(prec)
+    coeffs = [ctx.mpf(c) for c in poly]
     try:
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=100)
-    except mp.libmp.NoConvergence:
-        with mp.workprec(53 + 64):
-            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=100)
-    return mp.re(max(roots, key=lambda z: abs(z)))
+        roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=100)
+    except libmp.NoConvergence:
+        roots = _context(53 + 64).polyroots(coeffs, maxsteps=200, extraprec=100)
+    return _public(ctx.re(max(roots, key=lambda z: abs(ctx.convert(z)))))
 
 
 def perron_data(S: Sequence[Sequence[int]], precision_bits: int = 64) -> PerronData:
     """Certified Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix.
 
-    A ``mp.polyroots`` seed is widened exactly until it brackets the dominant
+    A ``polyroots`` seed is widened exactly until it brackets the dominant
     eigenvalue, and the bracket is narrowed to width ``2**-precision_bits`` by
-    the shared exact root bisection ``algebraic._RootBisection``; eigenvectors are
-    computed at matching working precision and validated by their residual.
+    the shared exact root bisection ``algebraic._RootBisection``; the seed and
+    the eigenvectors are computed at max(precision_bits, 53) + 64 bits in a
+    private context, and the eigenvectors are validated by their residual.
     Raises ``NotPrimitive`` when no power of ``S`` is strictly positive.
     """
     M = _as_matrix(S)
@@ -482,68 +492,69 @@ def perron_data(S: Sequence[Sequence[int]], precision_bits: int = 64) -> PerronD
     def sign(x: Fraction) -> int:
         return _poly_sign_scaled(poly, x.numerator, x.denominator)
 
-    with mp.workprec(max(precision_bits, 53) + 64):
-        theta_approx = _dominant_root_seed(poly)
+    prec = max(precision_bits, 53) + 64
+    theta_approx = _dominant_root_seed(poly, prec)
 
-        # Exact rational bracketing around the approximation.
-        delta = Fraction(1, 2 ** 40)
-        mid = _mpf_to_fraction(theta_approx)
+    # Exact rational bracketing around the approximation.
+    delta = Fraction(1, 2 ** 40)
+    mid = _mpf_to_fraction(theta_approx)
+    lo, hi = mid - delta, mid + delta
+    widenings = 0
+    while sign(lo) == 0:
+        lo -= delta
+    while sign(hi) == 0:
+        hi += delta
+    while (sign(lo) > 0) == (sign(hi) > 0):
+        delta *= 2
         lo, hi = mid - delta, mid + delta
-        widenings = 0
-        while sign(lo) == 0:
-            lo -= delta
-        while sign(hi) == 0:
-            hi += delta
-        while (sign(lo) > 0) == (sign(hi) > 0):
-            delta *= 2
-            lo, hi = mid - delta, mid + delta
-            widenings += 1
-            if widenings > 80:
-                raise ArithmeticError("failed to bracket the dominant eigenvalue")
-        a, b, den = _RootBisection(poly, lo, hi).bracket(precision_bits)
-        lo = Fraction(a, den)
-        hi = lo if a == b else Fraction(b, den)
+        widenings += 1
+        if widenings > 80:
+            raise ArithmeticError("failed to bracket the dominant eigenvalue")
+    a, b, den = _RootBisection(poly, lo, hi).bracket(precision_bits)
+    lo = Fraction(a, den)
+    hi = lo if a == b else Fraction(b, den)
 
-        theta = mp.mpf(lo.numerator) / lo.denominator
-        theta = (theta + mp.mpf(hi.numerator) / hi.denominator) / 2
+    ctx = _context(prec)
+    theta = ctx.mpf(lo.numerator) / lo.denominator
+    theta = (theta + ctx.mpf(hi.numerator) / hi.denominator) / 2
 
-        A = mp.matrix(m, m)
-        At = mp.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                A[i, j] = theta * (1 if i == j else 0) - M[i][j]
-                At[i, j] = theta * (1 if i == j else 0) - M[j][i]
-        r_col = _adjugate_column(A)
-        l_col = _adjugate_column(At)
-        if r_col[max(range(m), key=lambda i: abs(r_col[i]))] < 0:
-            r_col = -r_col
-        if l_col[max(range(m), key=lambda i: abs(l_col[i]))] < 0:
-            l_col = -l_col
-        r_sum = sum(r_col[i] for i in range(m))
-        r = [r_col[i] / r_sum for i in range(m)]
-        rl = sum(r[i] * l_col[i] for i in range(m))
-        l = [l_col[i] / rl for i in range(m)]
+    A = ctx.matrix(m, m)
+    At = ctx.matrix(m, m)
+    for i in range(m):
+        for j in range(m):
+            A[i, j] = theta * (1 if i == j else 0) - M[i][j]
+            At[i, j] = theta * (1 if i == j else 0) - M[j][i]
+    r_col = _adjugate_column(A)
+    l_col = _adjugate_column(At)
+    if r_col[max(range(m), key=lambda i: abs(r_col[i]))] < 0:
+        r_col = -r_col
+    if l_col[max(range(m), key=lambda i: abs(l_col[i]))] < 0:
+        l_col = -l_col
+    r_sum = sum(r_col[i] for i in range(m))
+    r = [r_col[i] / r_sum for i in range(m)]
+    rl = sum(r[i] * l_col[i] for i in range(m))
+    l = [l_col[i] / rl for i in range(m)]
 
-        res_r = max(
-            abs(sum(M[i][j] * r[j] for j in range(m)) - theta * r[i])
-            for i in range(m)
-        )
-        res_l = max(
-            abs(sum(M[j][i] * l[j] for j in range(m)) - theta * l[i])
-            for i in range(m)
-        )
-        if any(r[i] <= 0 for i in range(m)) or any(l[i] <= 0 for i in range(m)):
-            raise ArithmeticError("Perron eigenvectors must be strictly positive")
-        return PerronData(
-            S=M,
-            theta=+theta,
-            theta_interval=(lo, hi),
-            r_vec=tuple(+x for x in r),
-            l_vec=tuple(+x for x in l),
-            normalized=True,
-            precision_bits=precision_bits,
-            residual=+max(res_r, res_l),
-        )
+    res_r = max(
+        abs(sum(M[i][j] * r[j] for j in range(m)) - theta * r[i])
+        for i in range(m)
+    )
+    res_l = max(
+        abs(sum(M[j][i] * l[j] for j in range(m)) - theta * l[i])
+        for i in range(m)
+    )
+    if any(r[i] <= 0 for i in range(m)) or any(l[i] <= 0 for i in range(m)):
+        raise ArithmeticError("Perron eigenvectors must be strictly positive")
+    return PerronData(
+        S=M,
+        theta=_public(theta),
+        theta_interval=(lo, hi),
+        r_vec=tuple(_public(x) for x in r),
+        l_vec=tuple(_public(x) for x in l),
+        normalized=True,
+        precision_bits=precision_bits,
+        residual=_public(max(res_r, res_l)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +876,14 @@ def fixed_point_letter(zeta: Substitution) -> tuple[int, int]:
 
 
 _FIXED_POINT_LOCK = threading.Lock()  # guards only the memo's store
+_FIXED_POINT_LETTERS = 1 << 18  # the longest prefix the memo stores
 
 
 @lru_cache(maxsize=32)
 def _fixed_point(zeta: Substitution) -> list:
     """``[zeta^k, longest prefix read so far]``, the prefix starting as
-    ``(a,)``, for ``(a, k) = fixed_point_letter(zeta)``."""
+    ``(a,)`` and cut to ``_FIXED_POINT_LETTERS``, for
+    ``(a, k) = fixed_point_letter(zeta)``."""
     a, k = fixed_point_letter(zeta)
     images = zeta.images
     for _ in range(k - 1):
@@ -891,8 +904,8 @@ def fixed_point_prefix(zeta: Substitution, length: int) -> Word:
     while len(w) < length:
         w = zk._expand(w)[:length]
     with _FIXED_POINT_LOCK:
-        if len(w) > len(memo[1]):
-            memo[1] = w
+        if len(memo[1]) < min(len(w), _FIXED_POINT_LETTERS):
+            memo[1] = w[:_FIXED_POINT_LETTERS]
     return w[: max(length, 0)]
 
 

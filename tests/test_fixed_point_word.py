@@ -327,6 +327,31 @@ def test_a_late_shorter_store_keeps_the_longer_word(monkeypatch):
     same(word, ref_fixed_point_prefix(zeta, 4000))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_memo_stores_at_most_the_cap(name, monkeypatch):
+    # a request past the cap is returned whole, but only its first
+    # _FIXED_POINT_LETTERS letters are stored
+    zeta = CASES[name]
+    monkeypatch.setattr(substitution, "_FIXED_POINT_LETTERS", 1000)
+    want = ref_fixed_point_prefix(zeta, 5000)
+    cold_memo()
+    for n in (5000, 700, 5000, 1200, 3):
+        same(fixed_point_prefix(zeta, n), want[:n])
+        _, word = substitution._fixed_point(zeta)
+        same(word, want[:1000])
+
+
+def test_memo_cap_in_letters():
+    zeta = CASES["thue_morse"]
+    cap = substitution._FIXED_POINT_LETTERS
+    cold_memo()
+    first = fixed_point_prefix(zeta, cap + 5)
+    assert len(first) == cap + 5
+    assert len(substitution._fixed_point(zeta)[1]) == cap
+    assert fixed_point_prefix(zeta, cap + 5) == first
+    assert len(substitution._fixed_point(zeta)[1]) == cap
+
+
 # ---------------------------------------------------------------------------
 # the supertile decomposition and the one block source
 

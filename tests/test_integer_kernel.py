@@ -6,7 +6,7 @@ interval Horner evaluation, the ``Fraction`` nearest-integer split, the
 ``Fraction`` phase table and the window loop that scans every window per
 query.  The kernel computes the same rationals on integers, so every
 comparison here is exact ``==``.  The memo tests count the work a warm call
-does (``mp.polyroots`` calls, bisection midpoints).
+does (``polyroots`` calls, bisection midpoints).
 """
 
 from __future__ import annotations
@@ -547,13 +547,16 @@ class TestMemos:
         warm_cls = classify(ai)
         warm_consts = prop_alg_constants(ai)
         calls = []
-        real = mp.polyroots
+        # roots are found in a private context per call, so the spy sits on
+        # the method that every mpmath context shares
+        contexts = type(mp.mp)
+        real = contexts.polyroots
 
-        def counting(*args, **kwargs):
+        def counting(ctx, *args, **kwargs):
             calls.append(args)
-            return real(*args, **kwargs)
+            return real(ctx, *args, **kwargs)
 
-        monkeypatch.setattr(mp, "polyroots", counting)
+        monkeypatch.setattr(contexts, "polyroots", counting)
         assert classify(ai) == warm_cls
         assert prop_alg_constants(ai) == warm_consts
         assert calls == []
