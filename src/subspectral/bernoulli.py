@@ -18,14 +18,18 @@ Phases are handled exactly where possible: rational lam and xi go through
 exactly), and powers of an algebraic theta = 1/lam go through exact integer
 coordinates in Z[theta] evaluated on certified rational brackets, with the
 bracket width scaled to the power so that high powers lose no phase
-accuracy.
+accuracy.  Those enclosures of theta^k do not depend on the frequency and
+are kept in a bounded grow-only memo per theta; phases are integer residues
+(r, m) meaning r/m.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .algebraic import (
@@ -122,25 +126,27 @@ def params_from_theta(
 # exact trigonometry on rational phases
 
 
-def _factor_from_phase(q: Fraction, one_minus_2p: float) -> complex:
-    """cos(2 pi q) + i (1-2p) sin(2 pi q) with exact quarter-period values.
+def _factor_from_phase(r: int, m: int, one_minus_2p: float) -> complex:
+    """cos(2 pi r/m) + i (1-2p) sin(2 pi r/m) for m > 0, with exact
+    quarter-period values.
 
-    The phase is reduced to its signed representative in [-1/2, 1/2] before
-    any float trigonometry, so negating the frequency mirrors every factor
-    exactly (bit-for-bit conjugate symmetry)."""
-    q = q - math.floor(q)
+    The residue is folded to its signed representative r/m in [-1/2, 1/2]
+    before any float trigonometry, so negating the frequency mirrors every
+    factor exactly (bit-for-bit conjugate symmetry); r/m is then a quarter
+    period exactly when r == 0, 2r == m or 4r == m."""
+    r %= m
     sign = 1.0
-    if 2 * q > 1:
-        q = 1 - q
+    if 2 * r > m:
+        r = m - r
         sign = -1.0
-    if q.denominator == 1:
+    if r == 0:
         c, s = 1.0, 0.0
-    elif q.denominator == 2:
+    elif 2 * r == m:
         c, s = -1.0, 0.0
-    elif q.denominator == 4:
+    elif 4 * r == m:
         c, s = 0.0, 1.0
     else:
-        a = 2 * math.pi * float(q)
+        a = 2 * math.pi * (r / m)
         c, s = math.cos(a), math.sin(a)
     return complex(c, one_minus_2p * sign * s)
 
@@ -199,7 +205,7 @@ def bc_fourier(params: BernoulliParams, xi, n_terms: int) -> FourierValue:
     if exact is not None:
         x = xif
         for _ in range(n_terms):
-            value *= _factor_from_phase(x, one_minus_2p)
+            value *= _factor_from_phase(x.numerator, x.denominator, one_minus_2p)
             x *= exact
     else:
         plo, phi = Fraction(1), Fraction(1)
@@ -212,7 +218,7 @@ def bc_fourier(params: BernoulliParams, xi, n_terms: int) -> FourierValue:
                     "rebuild the parameters with more precision bits"
                 )
             mid = (a + b) / 2
-            value *= _factor_from_phase(mid - math.floor(mid), one_minus_2p)
+            value *= _factor_from_phase(mid.numerator, mid.denominator, one_minus_2p)
             plo, phi = plo * lo, phi * hi
     return FourierValue(value, tail, n_terms, float(xif))
 
@@ -221,41 +227,75 @@ def bc_fourier(params: BernoulliParams, xi, n_terms: int) -> FourierValue:
 # certified phases of theta^k * u
 
 
+_POWERS_LOCK = threading.Lock()  # guards only the memo's store
+_POWER_ROWS = 1 << 10  # the most powers of theta the memo stores
+
+
+@lru_cache(maxsize=32)
+def _power_enclosures(ai: AlgebraicInteger, extra_bits: int) -> list:
+    """``[log2_theta, rows]``: the bracket-width step per power and the
+    rows of ``_power_rows`` read so far, at most ``_POWER_ROWS`` of them."""
+    return [max(1, math.ceil(math.log2(float(ai.theta)) + 1e-9)), ()]
+
+
+def _power_rows(
+    ai: AlgebraicInteger, count: int, extra_bits: int
+) -> Sequence[tuple[int, int]]:
+    """At least ``count`` rows (L + H, S): [L, H] / S encloses theta^k,
+    from exact Z[theta] coordinates evaluated on a bracket of width
+    ``extra_bits + log2_theta (k + 1)`` bits.
+
+    A longer request than the memo holds computes the missing rows and
+    stores the rows up to ``_POWER_ROWS``."""
+    memo = _power_enclosures(ai, extra_bits)
+    log2_theta, rows = memo
+    if len(rows) >= count:
+        return rows
+    rows = list(rows)
+    el = ZThetaElement.from_int(1, ai.degree)
+    for k in range(count):
+        if k == len(rows):
+            bits = extra_bits + log2_theta * (k + 1)
+            L, H, S = _zt_scaled(el.coords, *_scaled_bracket(*ai.real_bracket(bits)))
+            rows.append((L + H, S))
+        el = zt_mul_theta(el, ai)
+    with _POWERS_LOCK:
+        if len(memo[1]) < min(count, _POWER_ROWS):
+            memo[1] = tuple(rows[:_POWER_ROWS])
+    return rows
+
+
 def _certified_phase_table(
     ai: AlgebraicInteger, u: Fraction, count: int, extra_bits: int = 70
-) -> list[tuple[Fraction, Fraction]]:
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """For k = 0..count-1: the fractional part of theta^k u and the distance
-    of 2 theta^k u to the nearest integer, from exact Z[theta] coordinates
-    evaluated on a bracket whose width scales with k.
+    of 2 theta^k u to the nearest integer, each as an integer pair (r, m)
+    meaning r/m, from exact Z[theta] coordinates evaluated on a bracket
+    whose width scales with k.
 
-    The enclosure of theta^k is the integer interval [L, H] / S of the
-    ``algebraic`` kernel, so the midpoint of its image under u is
+    The enclosures [L, H] / S of theta^k do not depend on u; they come from
+    a grow-only memo per (theta, extra_bits) (``_power_rows``), so a warm
+    table fetches no bracket.  The midpoint of u [L/S, H/S] is
     M / (2 S u.den) with M = (L + H) u.num: its fractional part is
     (M mod 2 S u.den) / (2 S u.den) and that of twice the midpoint is
     (M mod S u.den) / (S u.den), exactly as in rational arithmetic."""
     if u == 0:
-        return [(Fraction(0), Fraction(0))] * count
-    log2_theta = max(1, math.ceil(math.log2(float(ai.theta)) + 1e-9))
-    el = ZThetaElement.from_int(1, ai.degree)
-    out: list[tuple[Fraction, Fraction]] = []
-    for k in range(count):
-        bits = extra_bits + log2_theta * (k + 1)
-        L, H, S = _zt_scaled(el.coords, *_scaled_bracket(*ai.real_bracket(bits)))
-        out.append(_midpoint_phases(L, H, S, u))
-        el = zt_mul_theta(el, ai)
-    return out
+        return [((0, 1), (0, 1))] * count
+    rows = _power_rows(ai, count, extra_bits)
+    num, den = u.numerator, u.denominator
+    return [_midpoint_phases(total, S, num, den) for total, S in rows[:count]]
 
 
-def _midpoint_phases(L: int, H: int, S: int, u: Fraction) -> tuple[Fraction, Fraction]:
-    """Fractional part of the midpoint m of u [L/S, H/S] (S > 0), and the
-    distance of 2m to the nearest integer."""
-    M = (L + H) * u.numerator
-    den2 = S * u.denominator
+def _midpoint_phases(
+    total: int, S: int, num: int, den: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Fractional part of the midpoint m of (num/den) [L/S, H/S] with
+    L + H = total (S, den > 0), and the distance of 2m to the nearest
+    integer, as unreduced (r, m) pairs."""
+    M = total * num
+    den2 = S * den
     r2 = M % den2
-    return (
-        Fraction(M % (2 * den2), 2 * den2),
-        Fraction(min(r2, den2 - r2), den2),
-    )
+    return (M % (2 * den2), 2 * den2), (min(r2, den2 - r2), den2)
 
 
 def _small_phase_product(lam_mid: float, u: float, one_minus_2p: float,
@@ -347,26 +387,27 @@ def bc_log_decay_scan(
     truncation = 0.0
     for u in ug:
         table = _certified_phase_table(ai, u, N_max + 1)
-        small = _small_phase_product(lam_mid, float(u), one_minus_2p, depth)
+        uf = float(u)
+        small = _small_phase_product(lam_mid, uf, one_minus_2p, depth)
         tail_u = (
-            2 * math.pi**2 * pq * float(u) ** 2 * lam_mid ** (2 * depth)
+            2 * math.pi**2 * pq * uf**2 * lam_mid ** (2 * depth)
             / (1 - lam_mid**2)
         )
         truncation = max(truncation, tail_u)
         prefix = complex(1, 0)
         chain = 1.0
         for N in range(N_max + 1):
-            q, d2 = table[N]
-            prefix *= _factor_from_phase(q, one_minus_2p)
-            chain *= 1 - cp * float(d2) ** 2
+            (r, m), (d2, m2) = table[N]
+            prefix *= _factor_from_phase(r, m, one_minus_2p)
+            chain *= 1 - cp * (d2 / m2) ** 2
             value = prefix * small
-            xi = float(u) * th_mid**N
+            xi = uf * th_mid**N
             modulus = abs(value)
             scan = modulus * math.log(2 + abs(xi)) ** alpha
             rows.append(
                 BCScanRow(
                     N=N,
-                    u=float(u),
+                    u=uf,
                     xi=xi,
                     value=value,
                     modulus=modulus,
@@ -440,8 +481,8 @@ def erdos_nondecay(
     values: list[float] = []
     prefix = complex(1, 0)
     for N in range(N_max + 1):
-        q, _ = table[N]
-        prefix *= _factor_from_phase(q, one_minus_2p)
+        (r, m), _ = table[N]
+        prefix *= _factor_from_phase(r, m, one_minus_2p)
         values.append(abs(prefix * small))
     running: list[float] = []
     cur = math.inf

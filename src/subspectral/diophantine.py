@@ -20,6 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
@@ -217,6 +218,13 @@ def pisot_sequence(
     )
 
 
+def _common_numerators(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``fracs`` over D, and D, their least common
+    denominator."""
+    D = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (D // f.denominator) for f in fracs], D
+
+
 # ---------------------------------------------------------------------------
 # window escape
 
@@ -239,9 +247,7 @@ class WindowEscapeReport:
     hypothesis_violated: bool
 
 
-def _window_maxima(
-    values: Sequence[Fraction], beta: int, k_max: int
-) -> list[tuple[Fraction, int]]:
+def _window_maxima(values: Sequence, beta: int, k_max: int) -> list[tuple]:
     """(maximum, first index attaining it) of values[k : k*beta] for
     k = 1 .. k_max, in one pass.
 
@@ -281,7 +287,14 @@ def window_escape_check(
     other classes are allowed (beta then comes from ``beta_override`` or
     defaults to 2) and the report is flagged.  When ``k0`` is omitted it is
     set empirically: one past the largest failing window in [1, k_max], plus
-    a safety margin of 5 (or 1 when every window passes)."""
+    a safety margin of 5 (or 1 when every window passes).
+
+    Integer kernel: the |eps| are taken as numerators over D, the least
+    common denominator of the sequence, so the window maxima compare
+    integers, and a verdict cross-multiplies the maximum best / D with
+    delta1 +- err.  ``max_eps`` is the true division ``best / D``, the same
+    float as that of the reduced ``Fraction``: both are the correctly
+    rounded value of one rational."""
     hypothesis_violated = False
     if beta_override is not None and beta_override < 2:
         raise ValueError("beta must be at least 2")
@@ -303,14 +316,16 @@ def window_escape_check(
     err = Fraction(1, 2**60)
     while True:
         seq = pisot_sequence(ai, t, need, err=err)
-        abs_eps = [abs(e) for e in seq.eps]
+        nums, D = _common_numerators(seq.eps)
+        hi, lo = delta1 + err, delta1 - err
         # k -> (passed, or None when pinned at delta1 for this err; the
-        # window maximum; the first index attaining it)
-        all_verdicts: dict[int, tuple[bool | None, Fraction, int]] = {}
-        for k, (best, arg) in enumerate(_window_maxima(abs_eps, beta, k_max), 1):
-            if best - err >= delta1:
+        # window maximum's numerator over D; the first index attaining it)
+        all_verdicts: dict[int, tuple[bool | None, int, int]] = {}
+        maxima = _window_maxima([abs(n) for n in nums], beta, k_max)
+        for k, (best, arg) in enumerate(maxima, 1):
+            if best * hi.denominator >= hi.numerator * D:
                 all_verdicts[k] = (True, best, arg)
-            elif best + err < delta1:
+            elif best * lo.denominator < lo.numerator * D:
                 all_verdicts[k] = (False, best, arg)
             else:
                 all_verdicts[k] = (None, best, arg)
@@ -329,7 +344,7 @@ def window_escape_check(
     first_violation = None
     for k in range(k0, k_max + 1):
         ok, best, arg = all_verdicts[k]
-        verdicts.append(WindowVerdict(k, bool(ok), float(best), arg))
+        verdicts.append(WindowVerdict(k, bool(ok), best / D, arg))
         if not ok and first_violation is None:
             first_violation = k
     return WindowEscapeReport(
@@ -381,6 +396,22 @@ def _t_value_interval(ai: AlgebraicInteger, t) -> tuple[Fraction, Fraction]:
     return lo / q, hi / q
 
 
+def _neg_ratio(num: int, odd: int, zeros: int, prec: int) -> tuple:
+    """-num / (odd 2^zeros) for num >= 0 and odd odd, at ``prec`` bits as a
+    libmp value, rounded as ``_mpf_ratio`` rounds the reduced fraction: the
+    reduced numerator to ``prec`` bits, then the quotient (correctly, with a
+    sticky bit, by ``mpf_div``).  Rounding the quotient in one step, or
+    rounding the unreduced numerator, gives other values.  Only the odd part
+    of the gcd is divided out: a power of two changes no binary rounding."""
+    g = math.gcd(num, odd)
+    den = odd // g
+    return libmp.mpf_div(
+        libmp.from_int(-(num // g), prec, _RND),
+        (0, den, zeros, den.bit_length()),
+        prec, _RND,
+    )
+
+
 def prop_alg_product(
     ai: AlgebraicInteger,
     t,
@@ -393,7 +424,13 @@ def prop_alg_product(
     Raises ``WrongClass`` unless theta has a conjugate outside the unit
     circle; ``diagnostic=True`` computes the product anyway (for classes
     where the sum may converge and the product stays bounded below) and
-    flags the report."""
+    flags the report.
+
+    Integer kernel: the eps are put over D, their least common denominator,
+    so each partial sum of eps^2 is one integer P over D^2.  Its negation
+    at 120 bits (``_neg_ratio``) is rounded as the reduced ``Fraction``
+    -P/D^2 was: divide out g = gcd(P, D^2), round the numerator to 120 bits,
+    then round the quotient; ``mpf_exp`` of it gives the value at depth n."""
     hypothesis_violated = False
     consts = None
     try:
@@ -408,18 +445,18 @@ def prop_alg_product(
         raise ValueError("t must be positive")
 
     seq = pisot_sequence(ai, t, N, err=err)
-    partial = Fraction(0)
-    log_values = []
-    for e in seq.eps:
-        partial += e * e
-        log_values.append(partial)
-    # exp(-partial sum) at 120 bits
-    values = tuple(
-        libmp.to_float(libmp.mpf_exp(_mpf_ratio(-p, 120), 120, _RND), rnd=_RND)
-        for p in log_values
-    )
-    log_value = _mpf_ratio(-partial, 120)
-    value = mp.make_mpf(libmp.mpf_exp(log_value, 120, _RND))
+    nums, D = _common_numerators(seq.eps)
+    # -(partial sum of eps^2) at 120 bits for every depth, then its exp
+    zeros = (D & -D).bit_length() - 1
+    odd = (D >> zeros) ** 2
+    partial = 0
+    exps = []
+    for n in nums:
+        partial += n * n
+        log_value = _neg_ratio(partial, odd, 2 * zeros, 120)
+        exps.append(libmp.mpf_exp(log_value, 120, _RND))
+    values = tuple(libmp.to_float(x, rnd=_RND) for x in exps)
+    value = mp.make_mpf(exps[-1])
     log_value = mp.make_mpf(log_value)
 
     # branch bookkeeping
@@ -483,19 +520,20 @@ def prop_alg_product(
         )
 
     alpha = consts.alpha
+    fa = float(alpha)
     # fit C on the first half, check the bound on the second half
     fit_lo = max(branch_min_n, 2)
     fit_hi = max(fit_lo, N // 2)
     tf = float(t_factor) if float(t_factor) > 0 else 1.0
     C_candidates = [
-        values[n - 1] * n ** float(alpha) / tf
+        values[n - 1] * n**fa / tf
         for n in range(fit_lo, fit_hi + 1)
     ]
     if not C_candidates:
-        C_candidates = [values[-1] * N ** float(alpha) / tf]
+        C_candidates = [values[-1] * N**fa / tf]
     fitted_C = max(C_candidates)
     bound_ok = all(
-        values[n - 1] <= fitted_C * tf * n ** (-float(alpha)) * (1 + 1e-9)
+        values[n - 1] <= fitted_C * tf * n**-fa * (1 + 1e-9)
         for n in range(fit_hi + 1, N + 1)
     )
     return ProductReport(
@@ -616,6 +654,21 @@ class EKPrediction(NamedTuple):
     unique: bool
 
 
+@lru_cache(maxsize=64)
+def _ek_step_data(theta_list: tuple, precision_bits: int) -> tuple:
+    """(context, rows of the inverse Vandermonde matrix, theta_j^m) for
+    ``ek_step_predict``, all at ``precision_bits``.  The context is private
+    to this entry and never changes precision after the inversion, so
+    concurrent predictions may share it; the rows give the same dot
+    products as the matrix product did."""
+    ctx = _context(precision_bits)
+    zs = [ctx.convert(z) for z in theta_list]
+    m = len(zs)
+    Vinv = _vandermonde(ctx, zs) ** -1
+    inverse = tuple(tuple(Vinv[i, j] for j in range(m)) for i in range(m))
+    return ctx, inverse, tuple(z**m for z in zs)
+
+
 def ek_step_predict(
     K_window: Sequence[int],
     consts: EKConstants,
@@ -632,11 +685,10 @@ def ek_step_predict(
     m = len(consts.theta_list)
     if len(K_window) != m:
         raise ValueError(f"window must have {m} entries")
-    ctx = _context(precision_bits)
-    zs = [ctx.convert(z) for z in consts.theta_list]
-    window = ctx.matrix([ctx.mpc(int(k)) for k in K_window])
-    y = _vandermonde(ctx, zs) ** -1 * window
-    nxt = ctx.fsum(zs[j] ** m * y[j] for j in range(m))
+    ctx, inverse, powers = _ek_step_data(tuple(consts.theta_list), precision_bits)
+    window = [ctx.mpc(int(k)) for k in K_window]
+    y = [ctx.fdot(row, window) for row in inverse]
+    nxt = ctx.fsum(powers[j] * y[j] for j in range(m))
     pred = ctx.re(nxt)
     halfwidth = (ctx.convert(consts.L_exact) - 1) / 2
     lo = int(ctx.floor(pred - halfwidth))

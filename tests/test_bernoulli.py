@@ -2,17 +2,29 @@
 
 Independent oracles: a plain cosine product for the unbiased transform, a
 direct complex-exponential product for the biased one, and the Lucas-number
-identity phi^k + (-1/phi)^k = L_k for the golden-ratio phases."""
+identity phi^k + (-1/phi)^k = L_k for the golden-ratio phases.  The integer
+phase residues and the memo of power enclosures are compared byte for byte
+(pickles) with the ``Fraction`` phase table and factor they replaced, kept
+below as reference functions."""
 
 import cmath
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subspectral.algebraic import AlgebraicInteger, prop_alg_constants
+from subspectral import bernoulli
+from subspectral.algebraic import (
+    AlgebraicInteger,
+    ZThetaElement,
+    prop_alg_constants,
+    zt_mul_theta,
+    zt_value_interval,
+)
 from subspectral.bernoulli import (
     BCScanReport,
     BernoulliParams,
@@ -20,6 +32,7 @@ from subspectral.bernoulli import (
     FourierValue,
     bc_fourier,
     bc_log_decay_scan,
+    _certified_phase_table,
     bernoulli_params,
     erdos_nondecay,
     params_from_theta,
@@ -28,6 +41,8 @@ from subspectral.errors import TailNotConverged, WrongClass
 
 RUNNING_POLY = (1, -1, -3)
 GOLDEN_POLY = (1, -1, -1)
+PLASTIC_POLY = (1, 0, -1, -1)  # x^3 - x - 1, the smallest PV number
+DENOM = 100003  # the prime denominator of the benchmark's t values
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +309,208 @@ class TestContrast:
         assert floor > 4e-4
         assert v40 < 1e-12
         assert floor > v40
+
+
+# ---------------------------------------------------------------------------
+# the Fraction phase table and factor the integer residues replaced
+
+
+def ref_factor_from_phase(q: Fraction, one_minus_2p: float) -> complex:
+    q = q - math.floor(q)
+    sign = 1.0
+    if 2 * q > 1:
+        q = 1 - q
+        sign = -1.0
+    if q.denominator == 1:
+        c, s = 1.0, 0.0
+    elif q.denominator == 2:
+        c, s = -1.0, 0.0
+    elif q.denominator == 4:
+        c, s = 0.0, 1.0
+    else:
+        a = 2 * math.pi * float(q)
+        c, s = math.cos(a), math.sin(a)
+    return complex(c, one_minus_2p * sign * s)
+
+
+def ref_phase_table(ai, u: Fraction, count: int, extra_bits: int = 70):
+    """Fractional part of the midpoint of u theta^k and the distance of
+    twice it to the integers, on a fresh bracket per power."""
+    if u == 0:
+        return [(Fraction(0), Fraction(0))] * count
+    log2_theta = max(1, math.ceil(math.log2(float(ai.theta)) + 1e-9))
+    el = ZThetaElement.from_int(1, ai.degree)
+    out = []
+    for k in range(count):
+        lo, hi = zt_value_interval(el, ai, extra_bits + log2_theta * (k + 1))
+        mid = (lo + hi) / 2 * u
+        frac = mid - math.floor(mid)
+        two = 2 * mid - math.floor(2 * mid)
+        out.append((frac, min(two, 1 - two)))
+        el = zt_mul_theta(el, ai)
+    return out
+
+
+def ref_scan_rows(ai, p: Fraction, N_max: int, u: Fraction):
+    """(value, bound_chain) of every scan row at grid point u."""
+    th_lo, th_hi = ai.real_bracket(60)
+    th_mid = float((th_lo + th_hi) / 2)
+    depth = int(math.ceil(8 * math.log(10) / math.log(th_mid))) + 1
+    one_minus_2p = 1 - 2 * float(p)
+    cp = (1 - float(p)) / 2
+    small = complex(1, 0)
+    x = float(u)
+    for _ in range(depth):
+        x *= 1 / th_mid
+        small *= complex(math.cos(2 * math.pi * x), one_minus_2p * math.sin(2 * math.pi * x))
+    prefix, chain, rows = complex(1, 0), 1.0, []
+    for q, d2 in ref_phase_table(ai, u, N_max + 1):
+        prefix *= ref_factor_from_phase(q, one_minus_2p)
+        chain *= 1 - cp * float(d2) ** 2
+        rows.append((prefix * small, chain))
+    return rows
+
+
+def ref_fourier_product(params, xi, n_terms: int) -> complex:
+    one_minus_2p = 1 - 2 * float(params.p)
+    xif = Fraction(xi)
+    value = complex(1, 0)
+    if xif == 0:
+        return value
+    if params.lam_exact is not None:
+        x = xif
+        for _ in range(n_terms):
+            value *= ref_factor_from_phase(x, one_minus_2p)
+            x *= params.lam_exact
+        return value
+    lo, hi = params.lam_interval
+    plo, phi = Fraction(1), Fraction(1)
+    for _ in range(n_terms):
+        mid = (min(plo * xif, phi * xif) + max(plo * xif, phi * xif)) / 2
+        value *= ref_factor_from_phase(mid - math.floor(mid), one_minus_2p)
+        plo, phi = plo * lo, phi * hi
+    return value
+
+
+def _grid_points(ai, n: int):
+    """Seeded u = k/DENOM in [0, theta], with 0, 1 and the quarter points."""
+    rng = random.Random(str(ai.poly))
+    top = int(DENOM * ai.real_bracket(30)[0])
+    fixed = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    return fixed + [Fraction(rng.randint(1, top), DENOM) for _ in range(n)]
+
+
+class TestIntegerPhaseOracles:
+    def test_scan_rows_match_fraction_table(self, run_ai):
+        p = Fraction(3, 10)
+        grid = _grid_points(run_ai, 60)
+        for i, u in enumerate(grid):
+            N_max = 150 if i % 10 == 0 else 40
+            rep = bc_log_decay_scan(run_ai, p, N_max, u_grid=(u,))
+            got = [(r.value, r.bound_chain) for r in rep.rows]
+            assert pickle.dumps(got) == pickle.dumps(ref_scan_rows(run_ai, p, N_max, u)), u
+
+    def test_phase_tables_match_on_other_thetas(self):
+        for poly in (GOLDEN_POLY, PLASTIC_POLY, (1, 0, -1, -2)):
+            ai = AlgebraicInteger.from_poly(poly)
+            for u in _grid_points(ai, 8) + [Fraction(-7, 3)]:
+                table = _certified_phase_table(ai, u, 40)
+                want = ref_phase_table(ai, u, 40)
+                assert [(Fraction(*q), Fraction(*d)) for q, d in table] == want
+
+    def test_erdos_values_match_fraction_table(self, golden_ai):
+        plastic = AlgebraicInteger.from_poly(PLASTIC_POLY)
+        for ai, p in ((golden_ai, Fraction(1, 2)), (plastic, Fraction(1, 3))):
+            th_lo, th_hi = ai.real_bracket(60)
+            th_mid = float((th_lo + th_hi) / 2)
+            depth = int(math.ceil(10 * math.log(10) / math.log(th_mid))) + 1
+            omp = 1 - 2 * float(p)
+            small = complex(1, 0)
+            x = 1.0
+            for _ in range(depth):
+                x *= 1 / th_mid
+                small *= complex(math.cos(2 * math.pi * x), omp * math.sin(2 * math.pi * x))
+            table = ref_phase_table(ai, Fraction(1), 301)
+            for N_max in (0, 1, 30, 300):
+                prefix, want = complex(1, 0), []
+                for q, _ in table[: N_max + 1]:
+                    prefix *= ref_factor_from_phase(q, omp)
+                    want.append(abs(prefix * small))
+                got = erdos_nondecay(ai, N_max, p=p).values
+                assert pickle.dumps(got) == pickle.dumps(tuple(want))
+
+    def test_fourier_matches_fraction_factor(self, run_ai, golden_ai):
+        params = [
+            bernoulli_params(Fraction(1, 2), Fraction(1, 2)),
+            bernoulli_params(Fraction(2, 3), Fraction(1, 3)),
+            bernoulli_params(Fraction(1, 3), Fraction(1, 5)),
+            params_from_theta(run_ai, Fraction(3, 10)),
+            params_from_theta(golden_ai, Fraction(1, 2)),
+        ]
+        xis = [Fraction(1, 4), Fraction(-3, 4), Fraction(1, 2), 1, -17, Fraction(123, 7),
+               Fraction(5, 2), 0.3, Fraction(-1, 8)]
+        count = 0
+        for par in params:
+            for xi in xis:
+                got = bc_fourier(par, xi, 40).value
+                assert pickle.dumps(got) == pickle.dumps(ref_fourier_product(par, xi, 40))
+                count += 1
+        assert count == 45
+
+    def test_quarter_periods_are_exact(self):
+        # r/m on a quarter period, in any unreduced form and sign
+        factor = bernoulli._factor_from_phase
+        for m in (4, 8, 12, 4 * 100003):
+            assert factor(0, m, 0.5) == complex(1.0, 0.0)
+            assert factor(m // 2, m, 0.5) == complex(-1.0, 0.0)
+            assert factor(m // 4, m, 0.5) == complex(0.0, 0.5)
+            assert factor(-m // 4, m, 0.5) == complex(0.0, -0.5)
+            assert factor(3 * m // 4 + 5 * m, m, 0.5) == complex(0.0, -0.5)
+
+
+class TestPowerMemo:
+    def test_request_past_the_cap_stores_the_cap(self, golden_ai, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_POWER_ROWS", 8)
+        bernoulli._power_enclosures.cache_clear()
+        u = Fraction(7, 5)
+        table = _certified_phase_table(golden_ai, u, 20)
+        assert [(Fraction(*q), Fraction(*d)) for q, d in table] == ref_phase_table(
+            golden_ai, u, 20
+        )
+        assert len(bernoulli._power_enclosures(golden_ai, 70)[1]) == 8
+        # a longer request extends the eight stored rows and agrees
+        assert _certified_phase_table(golden_ai, u, 25)[:20] == table
+        assert len(bernoulli._power_enclosures(golden_ai, 70)[1]) == 8
+        bernoulli._power_enclosures.cache_clear()
+
+    def test_interleaved_requests_give_identical_tables(self, run_ai, golden_ai):
+        bernoulli._power_enclosures.cache_clear()
+        want = {}
+        for ai in (run_ai, golden_ai):
+            for u in (Fraction(1), Fraction(13, 10), Fraction(2, 3)):
+                want[ai.poly, u] = ref_phase_table(ai, u, 60)
+        rng = random.Random(3)
+        brackets = []
+        real = AlgebraicInteger.real_bracket
+        for _ in range(40):
+            ai = rng.choice((run_ai, golden_ai))
+            u = rng.choice((Fraction(1), Fraction(13, 10), Fraction(2, 3)))
+            count = rng.randint(1, 60)
+            table = _certified_phase_table(ai, u, count)
+            assert len(table) == count
+            assert [(Fraction(*q), Fraction(*d)) for q, d in table] == want[ai.poly, u][:count]
+        # once both thetas hold 60 rows, a request fetches no bracket
+        for ai in (run_ai, golden_ai):
+            _certified_phase_table(ai, Fraction(1), 60)
+
+        def spy(self, width_bits):
+            brackets.append(width_bits)
+            return real(self, width_bits)
+
+        AlgebraicInteger.real_bracket = spy
+        try:
+            _certified_phase_table(run_ai, Fraction(5, 4), 60)
+            _certified_phase_table(golden_ai, Fraction(1, 7), 17)
+        finally:
+            AlgebraicInteger.real_bracket = real
+        assert brackets == []

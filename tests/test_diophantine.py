@@ -4,11 +4,17 @@ product, and the Erdos-Kahane prediction/counting apparatus.
 Oracles: high-precision mpmath recomputation of t*theta^k (independent of
 the exact ring arithmetic under test), integer recurrences for nearest
 integers (Lucas numbers for the golden ratio), and numpy for matrix norms.
+The integer kernels of the window check, the decaying product and the step
+prediction are compared byte for byte (pickles) with the ``Fraction`` and
+per-call matrix loops they replaced, kept below as reference functions.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+import random
+from collections import deque
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,15 +22,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
+from subspectral import diophantine
 from subspectral.algebraic import (
     AlgebraicInteger,
     ZThetaElement,
+    prop_alg_constants,
     zt_mul_theta,
     zt_value_interval,
 )
 from subspectral.diophantine import (
     EKConstants,
+    EKPrediction,
+    WindowEscapeReport,
+    WindowVerdict,
     companion_matrix,
     ek_constants,
     ek_dimension_bound,
@@ -45,6 +57,9 @@ RUNNING = (1, -1, -3)  # x^2 - x - 3, dominant root (1 + sqrt 13)/2
 GOLDEN = (1, -1, -1)  # x^2 - x - 1, golden ratio
 CUBIC = (1, 0, -1, -2)  # x^3 - x - 2, complex pair of modulus > 1
 QUARTIC = (1, 0, 0, -1, -3)  # x^4 - x - 3, all conjugates outside
+ROOTS_2_3 = (1, -5, 6)  # (x - 2)(x - 3): t = 1/2 pins 3^k / 2 at Z + 1/2
+DENOM = 100003  # the prime denominator of the benchmark's t values
+RND = libmp.round_nearest
 
 
 @pytest.fixture(scope="module")
@@ -628,3 +643,250 @@ class TestEKFrequency:
         # can separate them, and the function must say so rather than guess
         with pytest.raises(PrecisionExhausted):
             ek_frequency((4, 2), (1, 0), Fraction(1, 8), 5, Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction and per-call loops the integer kernels replaced
+
+
+def ref_mpf_ratio(q: Fraction) -> tuple:
+    """mpf(q.numerator) / q.denominator at 120 bits, q reduced."""
+    return libmp.mpf_div(
+        libmp.from_int(q.numerator, 120, RND), libmp.from_int(q.denominator), 120, RND
+    )
+
+
+def ref_product_values(seq):
+    """(values, value, log_value) of the product by Fraction prefix sums."""
+    partial = Fraction(0)
+    log_values = []
+    for e in seq.eps:
+        partial += e * e
+        log_values.append(partial)
+    values = tuple(
+        libmp.to_float(libmp.mpf_exp(ref_mpf_ratio(-p), 120, RND), rnd=RND)
+        for p in log_values
+    )
+    log_value = ref_mpf_ratio(-partial)
+    value = mp.make_mpf(libmp.mpf_exp(log_value, 120, RND))
+    return values, value, mp.make_mpf(log_value)
+
+
+def ref_window_maxima(values, beta, k_max):
+    candidates = deque()
+    out = []
+    right = 1
+    for k in range(1, k_max + 1):
+        while right < k * beta:
+            v = values[right]
+            while candidates and values[candidates[-1]] < v:
+                candidates.pop()
+            candidates.append(right)
+            right += 1
+        while candidates[0] < k:
+            candidates.popleft()
+        out.append((values[candidates[0]], candidates[0]))
+    return out
+
+
+def ref_window_escape_check(ai, t, k0=None, k_max=50, diagnostic=False,
+                            beta_override=None):
+    """The window check with Fraction maxima and Fraction verdicts."""
+    hypothesis_violated = False
+    try:
+        consts = prop_alg_constants(ai)
+        beta = beta_override or consts.beta
+        delta1 = consts.delta1
+    except WrongClass:
+        if not diagnostic:
+            raise
+        hypothesis_violated = True
+        beta = beta_override or 2
+        delta1 = Fraction(1, 1 + ai.degree * ai.height)
+    err = Fraction(1, 2**60)
+    while True:
+        seq = pisot_sequence(ai, t, k_max * beta, err=err)
+        abs_eps = [abs(e) for e in seq.eps]
+        verdicts = {}
+        for k, (best, arg) in enumerate(ref_window_maxima(abs_eps, beta, k_max), 1):
+            if best - err >= delta1:
+                verdicts[k] = (True, best, arg)
+            elif best + err < delta1:
+                verdicts[k] = (False, best, arg)
+            else:
+                verdicts[k] = (None, best, arg)
+        if all(v[0] is not None for v in verdicts.values()):
+            break
+        err /= 2**20
+    empirical = k0 is None
+    if empirical:
+        failing = [k for k, v in verdicts.items() if v[0] is False]
+        k0 = max(failing) + 1 + 5 if failing else 1
+    out = []
+    first_violation = None
+    for k in range(k0, k_max + 1):
+        ok, best, arg = verdicts[k]
+        out.append(WindowVerdict(k, bool(ok), float(best), arg))
+        if not ok and first_violation is None:
+            first_violation = k
+    return WindowEscapeReport(
+        k0=k0,
+        k0_empirical=empirical,
+        beta=beta,
+        delta1=delta1,
+        verdicts=tuple(out),
+        first_violation=first_violation,
+        hypothesis_violated=hypothesis_violated,
+    )
+
+
+def ref_ek_step_predict(K_window, consts, precision_bits=160):
+    """The prediction with a fresh context and matrix inversion per call."""
+    m = len(consts.theta_list)
+    ctx = mp.MPContext()
+    ctx.prec = precision_bits
+    zs = [ctx.convert(z) for z in consts.theta_list]
+    V = ctx.matrix(m, m)
+    for i in range(m):
+        for j in range(m):
+            V[i, j] = zs[j] ** i
+    window = ctx.matrix([ctx.mpc(int(k)) for k in K_window])
+    y = V**-1 * window
+    pred = ctx.re(ctx.fsum(zs[j] ** m * y[j] for j in range(m)))
+    halfwidth = (ctx.convert(consts.L_exact) - 1) / 2
+    slack = ctx.mpf(2) ** -40
+    candidates = tuple(
+        c
+        for c in range(int(ctx.floor(pred - halfwidth)), int(ctx.ceil(pred + halfwidth)) + 1)
+        if abs(pred - c) <= halfwidth + slack
+    )
+    best = int(ctx.nint(pred))
+    margin = (
+        ctx.convert(consts.rho) * consts.theta1 * consts.vandermonde_norm
+        * consts.vandermonde_inv_norm
+    )
+    unique = (
+        bool(abs(pred - best) + margin + slack < ctx.mpf("0.5")) or len(candidates) == 1
+    )
+    return EKPrediction(float(pred), best, candidates, unique)
+
+
+def _oracle_inputs():
+    """(polynomial, t, N, keyword arguments) for the product and window
+    oracles: seeded t = k/DENOM in [1, theta] for x^2 - x - 3, the small-t
+    branch, ring-element t, t over 7 and 9 (whose sums share an odd factor
+    with their denominators), the golden ratio's diagnostic class, a cubic,
+    other errs, and x^2 - 5x + 6 at t = 1/2, whose terms sit on Z + 1/2 and
+    force width doubling."""
+    rng = random.Random(20131)
+    k_hi = (DENOM + math.isqrt(13 * DENOM * DENOM)) // 2
+    cases = [(RUNNING, Fraction(rng.randint(DENOM, k_hi), DENOM), 150, {})
+             for _ in range(72)]
+    cases += [(RUNNING, Fraction(rng.randint(1, DENOM - 1), DENOM), 60, {})
+              for _ in range(8)]
+    cases += [(RUNNING, ZThetaElement(c), 80, {}) for c in ((1, 1), (-2, 3), (5, -1))]
+    cases += [(RUNNING, Fraction(k, 7), 150, {}) for k in (3, 8, 13, 16)]
+    cases += [(RUNNING, Fraction(k, 9), 100, {}) for k in (10, 13)]
+    cases += [(GOLDEN, Fraction(k, 7), 80, {"diagnostic": True}) for k in (3, 8, 11)]
+    cases += [(GOLDEN, 1, 60, {"diagnostic": True})]
+    cases += [(CUBIC, Fraction(k, 5), 60, {}) for k in (3, 6, 9)]
+    cases += [(RUNNING, Fraction(7, 5), 60, {"err": e})
+              for e in (Fraction(1, 3), Fraction(1, 10**6), Fraction(1, 2**400))]
+    cases += [(ROOTS_2_3, Fraction(k, 2), 30, {"diagnostic": True}) for k in (1, 3)]
+    cases += [(ROOTS_2_3, Fraction(5, 6), 30, {"diagnostic": True})]
+    return cases
+
+
+class TestIntegerKernelOracles:
+    @pytest.fixture(scope="class")
+    def ais(self):
+        return {p: AlgebraicInteger.from_poly(p, 128)
+                for p in (RUNNING, GOLDEN, CUBIC, ROOTS_2_3)}
+
+    def test_product_matches_fraction_sums(self, ais):
+        cases = _oracle_inputs()
+        assert len(cases) >= 100
+        for poly, t, N, kwargs in cases:
+            ai = ais[poly]
+            report = prop_alg_product(ai, t, N, **kwargs)
+            seq = pisot_sequence(ai, t, N, err=kwargs.get("err", Fraction(1, 2**40)))
+            got = pickle.dumps((report.values, report.value, report.log_value))
+            assert got == pickle.dumps(ref_product_values(seq)), (poly, t, kwargs)
+
+    def test_oracle_inputs_tell_the_roundings_apart(self, ais):
+        # rounding -P/D^2 in one step, or rounding the unreduced numerator
+        # first, gives other values on these inputs than the reduced
+        # two-step rounding; so the comparison above sees either change
+        one_step = unreduced = widths_doubled = 0
+        for poly, t, N, kwargs in _oracle_inputs():
+            seq = pisot_sequence(ais[poly], t, N, err=kwargs.get("err", Fraction(1, 2**40)))
+            D = math.lcm(*(e.denominator for e in seq.eps))
+            P, partial = 0, Fraction(0)
+            for e in seq.eps:
+                P += (e.numerator * (D // e.denominator)) ** 2
+                partial += e * e
+                want = ref_mpf_ratio(-partial)
+                one_step += libmp.from_rational(-P, D * D, 120, RND) != want
+                unreduced += libmp.mpf_div(
+                    libmp.from_int(-P, 120, RND), libmp.from_int(D * D), 120, RND
+                ) != want
+        assert one_step > 100 and unreduced > 10
+
+    def test_width_doubling_input_doubles(self, ais, monkeypatch):
+        widths = []
+        real = AlgebraicInteger.real_bracket
+
+        def spy(self, width_bits):
+            widths.append(width_bits)
+            return real(self, width_bits)
+
+        monkeypatch.setattr(AlgebraicInteger, "real_bracket", spy)
+        pisot_sequence(ais[ROOTS_2_3], Fraction(1, 2), 30)
+        assert len(set(widths)) > 1
+
+    def test_windows_match_fraction_verdicts(self, ais):
+        cases = _oracle_inputs()
+        for i, (poly, t, N, kwargs) in enumerate(cases):
+            kwargs = {k: v for k, v in kwargs.items() if k != "err"}
+            if poly == GOLDEN and i % 2:
+                kwargs["beta_override"] = 3
+            k_max = 20 if poly == RUNNING else 8
+            got = window_escape_check(ais[poly], t, k_max=k_max, **kwargs)
+            want = ref_window_escape_check(ais[poly], t, k_max=k_max, **kwargs)
+            assert pickle.dumps(got) == pickle.dumps(want), (poly, t, kwargs)
+
+    def test_step_prediction_matches_per_call_inversion(self, golden):
+        consts = [
+            ek_constants((2, 1)),
+            ek_constants(tuple(d.center for d in golden.roots)),
+            ek_constants(tuple(d.center for d in AlgebraicInteger.from_poly(CUBIC).roots), 200),
+        ]
+        rng = random.Random(5)
+        for ek in consts:
+            m = len(ek.theta_list)
+            for bits in (96, 160):
+                for _ in range(12):
+                    window = [rng.randint(-10**6, 10**6) for _ in range(m)]
+                    got = ek_step_predict(window, ek, bits)
+                    assert pickle.dumps(got) == pickle.dumps(
+                        ref_ek_step_predict(window, ek, bits)
+                    )
+
+    def test_warm_step_prediction_inverts_nothing(self, monkeypatch):
+        ek = ek_constants((3, -1, 2))
+        ek_step_predict([1, 2, 3], ek)
+        contexts = type(mp.mp)
+        calls = []
+        real = contexts.inverse
+
+        def counting(ctx, *args, **kwargs):
+            calls.append(args)
+            return real(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(contexts, "inverse", counting)
+        for k in range(5):
+            ek_step_predict([k, 2 * k, 3 * k + 1], ek)
+        assert calls == []
+        diophantine._ek_step_data.cache_clear()
+        ek_step_predict([1, 2, 3], ek)
+        assert len(calls) == 1

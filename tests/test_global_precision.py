@@ -11,7 +11,9 @@ the package.
 
 from __future__ import annotations
 
+import importlib
 import pickle
+import pkgutil
 import re
 import sys
 import threading
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import mpmath as mp
 
-from subspectral import algebraic, diophantine, flows, riesz, spectral, substitution
+import subspectral
+from subspectral import algebraic, bernoulli, diophantine, flows, riesz, spectral, substitution
 from subspectral.algebraic import AlgebraicInteger, certify_roots
 from subspectral.substitution import Substitution, find_return_word
 
@@ -36,9 +39,15 @@ SETTER = re.compile(
 )
 
 
+MODULES = [
+    importlib.import_module(f"subspectral.{info.name}")
+    for info in pkgutil.iter_modules(subspectral.__path__)
+]
+
+
 def cold():
-    """Empty every memo of the numeric modules."""
-    for module in (algebraic, diophantine, flows, riesz, spectral, substitution):
+    """Empty every memo of every module of the package."""
+    for module in MODULES:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
@@ -73,6 +82,19 @@ def _erdos_kahane(p):
                                   Fraction(1, 10))]
 
 
+def _bernoulli_scan(u):
+    # from a cold memo of power enclosures, so that concurrent calls grow it
+    bernoulli._power_enclosures.cache_clear()
+    ai = AlgebraicInteger.from_poly(POLYS[0], 128)
+    return [bernoulli.bc_log_decay_scan(ai, Fraction(3, 10), 60, u_grid=(u, u / 2))]
+
+
+def _erdos(n):
+    bernoulli._power_enclosures.cache_clear()
+    ai = AlgebraicInteger.from_poly((1, -1, -1), 128)
+    return [bernoulli.erdos_nondecay(ai, n)]
+
+
 def _perron(M):
     return [substitution.perron_data(M, bits) for bits in (53, 96, 200)]
 
@@ -94,6 +116,8 @@ ITEMS = (
     + [(_constants, p) for p in POLYS]
     + [(_product, Fraction(k, 7)) for k in (8, 10, 13, 16, 3)]
     + [(_erdos_kahane, p) for p in POLYS[:2]]
+    + [(_bernoulli_scan, Fraction(k, 11)) for k in (11, 13, 17)]
+    + [(_erdos, n) for n in (20, 80, 140)]
     + [(_perron, M) for M in (((1, 1), (3, 0)), ((1, 1, 1), (1, 0, 0), (0, 1, 0)))]
     + [(_substitution, zeta) for zeta in (RUNNING, TRIBONACCI)]
 )
