@@ -730,17 +730,27 @@ def zt_mul_theta(
 ) -> ZThetaElement:
     """Exact coordinates of theta * x via the companion-matrix action."""
     p = poly.poly if isinstance(poly, AlgebraicInteger) else _as_int_poly(poly)
+    row = _companion_row(p)
+    if len(x.coords) != len(row):
+        raise ValueError(f"expected {len(row)} coordinates, got {len(x.coords)}")
+    return ZThetaElement(_times_theta(x.coords, row))
+
+
+def _companion_row(p: Sequence[int]) -> tuple[int, ...]:
+    """(b_s, ..., b_1) for p = x^s - b_1 x^(s-1) - ... - b_s: the
+    coordinates of theta^s = b_1 theta^(s-1) + ... + b_s."""
     s = _poly_degree(p)
-    coords = x.coords
-    if len(coords) != s:
-        raise ValueError(f"expected {s} coordinates, got {len(coords)}")
-    # theta^s = b_1 theta^(s-1) + ... + b_s with p = x^s - b_1 x^(s-1) - ... - b_s
-    top = tuple(-p[s - i] for i in range(s))  # ascending: (b_s, ..., b_1)
-    carry = coords[s - 1]
-    new = [carry * top[0]]
-    for i in range(1, s):
-        new.append(coords[i - 1] + carry * top[i])
-    return ZThetaElement(tuple(new))
+    return tuple(-p[s - i] for i in range(s))
+
+
+def _times_theta(coords: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of theta * x from those of x, with ``row`` the
+    ``_companion_row`` of theta's polynomial: the one companion step."""
+    carry = coords[-1]
+    new = [carry * row[0]]
+    for i in range(1, len(row)):
+        new.append(coords[i - 1] + carry * row[i])
+    return tuple(new)
 
 
 def _scaled_bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:

@@ -176,7 +176,10 @@ def bc_fourier(params: BernoulliParams, xi, n_terms: int) -> FourierValue:
     Requires enough terms that the first omitted phase satisfies
     2 pi lam^n_terms |xi| < 1/2; otherwise the tail estimate does not apply
     and TailNotConverged is raised.  The tail bound is
-    sum_{n >= n_terms} 2 pi^2 * 4 p (1-p) * lam^(2n) xi^2.
+    sum_{n >= n_terms} 2 pi^2 * 4 p (1-p) * lam^(2n) xi^2.  At an enclosed
+    (algebraic) ratio each phase is the midpoint of an enclosure of
+    lam^n xi with dyadic ends, and PrecisionExhausted is raised once that
+    enclosure is wider than 2^-30.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
@@ -208,18 +211,26 @@ def bc_fourier(params: BernoulliParams, xi, n_terms: int) -> FourierValue:
             value *= _factor_from_phase(x.numerator, x.denominator, one_minus_2p)
             x *= exact
     else:
-        plo, phi = Fraction(1), Fraction(1)
+        # [plo, phi] / 2^B encloses lam^n; each step rounds its ends outward
+        # to the scale 2^-B, so they stay about B bits long.  2^-B is at most
+        # 2^-32 of the gap hi - lo, and the rounding moves the ends by less
+        # than 2^-B / (1 - hi) in all.
+        B = lo.denominator.bit_length() + hi.denominator.bit_length() + 32
+        plo = phi = 1 << B
+        num, den = xif.numerator, xif.denominator
+        too_wide = den << (B - 30)  # width |xi| (phi - plo) / 2^B > 2^-30
         for _ in range(n_terms):
-            cands = (plo * xif, phi * xif)
-            a, b = min(cands), max(cands)
-            if b - a > Fraction(1, 2**30):
+            if (phi - plo) * abs(num) > too_wide:
                 raise PrecisionExhausted(
                     "contraction-ratio enclosure too wide for this frequency; "
                     "rebuild the parameters with more precision bits"
                 )
-            mid = (a + b) / 2
-            value *= _factor_from_phase(mid.numerator, mid.denominator, one_minus_2p)
-            plo, phi = plo * lo, phi * hi
+            # the midpoint xi (plo + phi) / 2^(B + 1)
+            value *= _factor_from_phase(
+                (plo + phi) * num, den << (B + 1), one_minus_2p
+            )
+            plo = plo * lo.numerator // lo.denominator
+            phi = -(-phi * hi.numerator // hi.denominator)
     return FourierValue(value, tail, n_terms, float(xif))
 
 

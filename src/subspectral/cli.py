@@ -518,7 +518,7 @@ def cmd_dioph(args) -> int:
         seq = pisot_sequence(ai, t, args.N + 1)
         header = ("k", "K", "eps", "eps_err")
         rows = [
-            (k, seq.K[k], float(seq.eps[k]), float(seq.err))
+            (k, seq.K[k], seq.nums[k] / seq.D, float(seq.err))
             for k in range(len(seq))
         ]
         constants = {"denominator": seq.denom}
@@ -558,7 +558,7 @@ def cmd_dioph(args) -> int:
             probe = jitter.randrange(v.k, hi + 1)
             rows.append(
                 (v.k, v.k, hi, v.passed, v.argmax, v.max_eps, probe,
-                 float(abs(seq.eps[probe])))
+                 abs(seq.nums[probe]) / seq.D)
             )
         constants = {
             "k0": rep.k0,
@@ -585,7 +585,7 @@ def cmd_dioph(args) -> int:
         rows = []
         correct = total = 0
         for i in range(args.N):
-            window = [abs(float(seq.eps[i + j])) for j in range(m)]
+            window = [abs(seq.nums[i + j]) / seq.D for j in range(m)]
             if max(window) >= rho:
                 continue
             pred = ek_step_predict(list(seq.K[i : i + m]), consts)

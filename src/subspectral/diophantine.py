@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
@@ -39,7 +39,9 @@ from .algebraic import (
     _poly_degree,
     _public,
     _RND,
+    _companion_row,
     _scaled_bracket,
+    _times_theta,
     _zt_scaled,
 )
 from .errors import (
@@ -64,7 +66,7 @@ def companion_matrix(poly_or_ai) -> tuple[tuple[int, ...], ...]:
     rows = [
         tuple(1 if j == i + 1 else 0 for j in range(s)) for i in range(s - 1)
     ]
-    rows.append(tuple(-poly[s - i] for i in range(s)))
+    rows.append(_companion_row(poly))
     return tuple(rows)
 
 
@@ -74,24 +76,46 @@ def companion_matrix(poly_or_ai) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class PisotLikeSequence:
-    """t*theta^k = K[k] + eps_value(k) exactly, for k = 0 .. N-1.
+    """t*theta^k = K[k] + eps_k exactly, for k = 0 .. N-1.
 
-    ``eps_num[k] / denom`` is the exact ring element whose real value is the
-    signed fractional part; ``eps[k]`` is a certified rational approximation
-    with |true - eps[k]| <= err.  Memory grows quadratically in N because the
-    integer coordinates themselves grow like theta^k.
+    ``nums[k] / D`` is a certified rational approximation eps[k] of the
+    signed fractional part, with |true - eps[k]| <= err; D > 0 is one
+    common denominator of all terms (not always the least one).  ``eps``
+    and ``eps_num`` are views built on first read: ``eps[k]`` is
+    ``nums[k] / D`` as a reduced ``Fraction``, and ``eps_num[k] / denom`` is
+    the exact ring element whose real value is the signed fractional part.
+    A pickle holds the fields only, whichever views were read.  Memory
+    grows quadratically in N: the bit length of D, and so of every
+    numerator, grows linearly in N.
     """
 
     theta: AlgebraicInteger
     t_coords: ZThetaElement
     denom: int
     K: tuple[int, ...]
-    eps: tuple[Fraction, ...]
-    eps_num: tuple[ZThetaElement, ...]
+    nums: tuple[int, ...]
+    D: int
     err: Fraction
 
     def __len__(self) -> int:
         return len(self.K)
+
+    def __getstate__(self) -> dict:
+        return {f: self.__dict__[f] for f in self.__dataclass_fields__}
+
+    @cached_property
+    def eps(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.D) for n in self.nums)
+
+    @cached_property
+    def eps_num(self) -> tuple[ZThetaElement, ...]:
+        row = _companion_row(self.theta.poly)
+        x = self.t_coords.coords
+        out = []
+        for k in self.K:
+            out.append(ZThetaElement((x[0] - k * self.denom,) + x[1:]))
+            x = _times_theta(x, row)
+        return tuple(out)
 
 
 def _normalize_t(ai: AlgebraicInteger, t) -> tuple[ZThetaElement, int]:
@@ -118,18 +142,18 @@ def _normalize_t(ai: AlgebraicInteger, t) -> tuple[ZThetaElement, int]:
 
 def _certified_split(
     L: int, H: int, qS: int, err: Fraction
-) -> tuple[int, Fraction] | None:
-    """(k, eps) with k the nearest integer (ties up) to the midpoint of
-    [L/qS, H/qS] and eps the midpoint minus k, when every point of that
-    interval rounds to k and its width is at most 2 err; None otherwise.
-    qS > 0 and L <= H."""
+) -> tuple[int, int] | None:
+    """(k, n) with k the nearest integer (ties up) to the midpoint of
+    [L/qS, H/qS] and n / (2 qS) the midpoint minus k, when every point of
+    that interval rounds to k and its width is at most 2 err; None
+    otherwise.  qS > 0 and L <= H."""
     two_qS = 2 * qS
     if (2 * L + qS) // two_qS != (2 * H + qS) // two_qS:
         return None
     if (H - L) * err.denominator > 2 * err.numerator * qS:
         return None
     k = (L + H + qS) // two_qS
-    return k, Fraction(L + H - k * two_qS, two_qS)
+    return k, L + H - k * two_qS
 
 
 def pisot_sequence(
@@ -144,17 +168,22 @@ def pisot_sequence(
     only occur when the value is rational, which the exact representation
     detects outright.
 
-    Integer kernel: the root bracket of each width is fetched once per call
-    and put over one denominator; each term's enclosure of t*theta^k is then
-    the integer interval [L, H] / (q S) from the scaled Horner scheme of
-    ``algebraic``.  The nearest integer is ``(L + H + qS) // (2qS)``; the
-    split is certified when ``(2L + qS) // (2qS) == (2H + qS) // (2qS)``
-    (the whole enclosure rounds to one integer) and
-    ``(H - L) * err.denominator <= 2 * err.numerator * q * S`` (its width is
-    at most 2 err), and then ``eps = (L + H - 2kqS) / (2qS)``, the midpoint
-    minus k.  These are the rational tests and values exactly, on integers;
-    a term whose enclosure fails either test is retried at twice the
-    width."""
+    Integer kernel: the coordinates of t*theta^k (t = x0 / q) are walked as
+    integer tuples by the companion step, and their largest bit length sets
+    the bracket width.  The root bracket of each width is fetched once per
+    call and put over one denominator; each term's enclosure of t*theta^k
+    is then the integer interval [L, H] / (q S) from the scaled Horner
+    scheme of ``algebraic``.  The nearest integer is
+    ``(L + H + qS) // (2qS)``; the split is certified when
+    ``(2L + qS) // (2qS) == (2H + qS) // (2qS)`` (the whole enclosure rounds
+    to one integer) and ``(H - L) * err.denominator <= 2 * err.numerator *
+    q * S`` (its width is at most 2 err), and then eps is
+    ``(L + H - 2kqS) / (2qS)``, the midpoint minus k.  These are the
+    rational tests and values exactly, on integers; a term whose enclosure
+    fails either test is retried at twice the width.  A term with rational
+    coordinates is split exactly, over q.  There is one denominator 2qS
+    per width used, and q divides each, so D is the lcm of these few and
+    every numerator is scaled to it once; no ``Fraction`` is built."""
     if not 1 <= N <= MAX_SEQUENCE_LENGTH:
         raise ValueError(f"N must be in [1, {MAX_SEQUENCE_LENGTH}]")
     err = Fraction(err)
@@ -163,43 +192,42 @@ def pisot_sequence(
     x0, q = _normalize_t(ai, t)
     s = ai.degree
 
-    coords = [x0]
+    row = _companion_row(ai.poly)
+    x = x0.coords
+    coords = [x]
+    maxbit = max(map(abs, x)).bit_length()
     for _ in range(N - 1):
-        coords.append(zt_mul_theta(coords[-1], ai))
-
-    maxbit = max(
-        max(abs(c) for c in x.coords).bit_length() for x in coords
-    )
+        x = _times_theta(x, row)
+        coords.append(x)
+        bits = max(map(abs, x)).bit_length()
+        if bits > maxbit:
+            maxbit = bits
     err_bits = max(8, (err.denominator // max(err.numerator, 1)).bit_length())
     width = s * maxbit + q.bit_length() + err_bits + 64
 
     brackets: dict[int, tuple[int, int, int]] = {}
     K_list: list[int] = []
-    eps_list: list[Fraction] = []
-    eps_num_list: list[ZThetaElement] = []
+    nums: list[int] = []
+    dens: list[int] = []
     for x in coords:
-        c0 = x.coords[0]
-        if all(c == 0 for c in x.coords[1:]):
-            # exact rational value c0/q: decide with no interval at all
-            k = (2 * c0 + q) // (2 * q)  # round half up
+        if not any(x[1:]):
+            # exact rational value x[0]/q: decide with no interval at all
+            k = (2 * x[0] + q) // (2 * q)  # round half up
             K_list.append(k)
-            eps_list.append(Fraction(c0 - k * q, q))
-            eps_num_list.append(ZThetaElement((c0 - k * q,) + (0,) * (s - 1)))
+            nums.append(x[0] - k * q)
+            dens.append(q)
             continue
         w = width
         while True:
             bracket = brackets.get(w)
             if bracket is None:
                 bracket = brackets[w] = _scaled_bracket(*ai.real_bracket(w))
-            L, H, S = _zt_scaled(x.coords, *bracket)
+            L, H, S = _zt_scaled(x, *bracket)
             split = _certified_split(L, H, q * S, err)
             if split is not None:
-                k, e = split
-                K_list.append(k)
-                eps_list.append(e)
-                eps_num_list.append(
-                    ZThetaElement((c0 - k * q,) + tuple(x.coords[1:]))
-                )
+                K_list.append(split[0])
+                nums.append(split[1])
+                dens.append(2 * q * S)
                 break
             w *= 2
             if w > PRECISION_CAP_BITS:
@@ -207,22 +235,17 @@ def pisot_sequence(
                 raise HalfIntegerAmbiguity(
                     "value certified arbitrarily close to Z + 1/2"
                 )
+    D = math.lcm(*set(dens))
+    scale = {d: D // d for d in set(dens)}
     return PisotLikeSequence(
         theta=ai,
         t_coords=x0,
         denom=q,
         K=tuple(K_list),
-        eps=tuple(eps_list),
-        eps_num=tuple(eps_num_list),
+        nums=tuple(n * scale[d] for n, d in zip(nums, dens)),
+        D=D,
         err=err,
     )
-
-
-def _common_numerators(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``fracs`` over D, and D, their least common
-    denominator."""
-    D = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (D // f.denominator) for f in fracs], D
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +312,12 @@ def window_escape_check(
     set empirically: one past the largest failing window in [1, k_max], plus
     a safety margin of 5 (or 1 when every window passes).
 
-    Integer kernel: the |eps| are taken as numerators over D, the least
-    common denominator of the sequence, so the window maxima compare
-    integers, and a verdict cross-multiplies the maximum best / D with
-    delta1 +- err.  ``max_eps`` is the true division ``best / D``, the same
-    float as that of the reduced ``Fraction``: both are the correctly
-    rounded value of one rational."""
+    Integer kernel: the |eps| are the sequence's numerators over its common
+    denominator D, so the window maxima compare integers, and a verdict
+    cross-multiplies the maximum best / D with delta1 +- err.  ``max_eps``
+    is the true division ``best / D``, the same float as that of the
+    reduced ``Fraction``: both are the correctly rounded value of one
+    rational."""
     hypothesis_violated = False
     if beta_override is not None and beta_override < 2:
         raise ValueError("beta must be at least 2")
@@ -316,7 +339,7 @@ def window_escape_check(
     err = Fraction(1, 2**60)
     while True:
         seq = pisot_sequence(ai, t, need, err=err)
-        nums, D = _common_numerators(seq.eps)
+        nums, D = seq.nums, seq.D
         hi, lo = delta1 + err, delta1 - err
         # k -> (passed, or None when pinned at delta1 for this err; the
         # window maximum's numerator over D; the first index attaining it)
@@ -426,11 +449,13 @@ def prop_alg_product(
     where the sum may converge and the product stays bounded below) and
     flags the report.
 
-    Integer kernel: the eps are put over D, their least common denominator,
-    so each partial sum of eps^2 is one integer P over D^2.  Its negation
-    at 120 bits (``_neg_ratio``) is rounded as the reduced ``Fraction``
-    -P/D^2 was: divide out g = gcd(P, D^2), round the numerator to 120 bits,
-    then round the quotient; ``mpf_exp`` of it gives the value at depth n."""
+    Integer kernel: the eps are the sequence's numerators over its common
+    denominator D, so each partial sum of eps^2 is one integer P over D^2.
+    Its negation at 120 bits (``_neg_ratio``) is rounded as the reduced
+    ``Fraction`` -P/D^2 was: divide out the odd part of g = gcd(P, D^2),
+    round the numerator to 120 bits, then round the quotient; ``mpf_exp``
+    of it gives the value at depth n.  Any common denominator gives the
+    same value, as only a power of two can be left in the numerator."""
     hypothesis_violated = False
     consts = None
     try:
@@ -445,7 +470,7 @@ def prop_alg_product(
         raise ValueError("t must be positive")
 
     seq = pisot_sequence(ai, t, N, err=err)
-    nums, D = _common_numerators(seq.eps)
+    nums, D = seq.nums, seq.D
     # -(partial sum of eps^2) at 120 bits for every depth, then its exp
     zeros = (D & -D).bit_length() - 1
     odd = (D >> zeros) ** 2

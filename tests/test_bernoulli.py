@@ -37,7 +37,7 @@ from subspectral.bernoulli import (
     erdos_nondecay,
     params_from_theta,
 )
-from subspectral.errors import TailNotConverged, WrongClass
+from subspectral.errors import PrecisionExhausted, TailNotConverged, WrongClass
 
 RUNNING_POLY = (1, -1, -3)
 GOLDEN_POLY = (1, -1, -1)
@@ -456,6 +456,24 @@ class TestIntegerPhaseOracles:
                 assert pickle.dumps(got) == pickle.dumps(ref_fourier_product(par, xi, 40))
                 count += 1
         assert count == 45
+
+    def test_long_algebraic_products_match_the_exact_enclosure(self, run_ai):
+        # the enclosure ends of lam^n are rounded outward to one dyadic
+        # scale; the phases move by less than 2^-300 here, so no factor
+        # moves by an ulp against the exact products of the bracket ends
+        par = params_from_theta(run_ai, Fraction(3, 10))
+        for xi in (Fraction(1, 3), Fraction(-7, 3), Fraction(10, 3)):
+            got = bc_fourier(par, xi, 100).value
+            assert pickle.dumps(got) == pickle.dumps(ref_fourier_product(par, xi, 100))
+
+    def test_wide_ratio_enclosure_is_refused(self, run_ai):
+        # the widest phase enclosure is |xi| (hi - lo), at the second term
+        lam = (Fraction(4343, 10**4), Fraction(4343, 10**4) + Fraction(1, 2**40))
+        wide = BernoulliParams(lam_interval=lam, p=Fraction(1, 2))
+        with pytest.raises(PrecisionExhausted):
+            bc_fourier(wide, 2**11, 60)
+        bc_fourier(wide, 2**9, 60)
+        bc_fourier(params_from_theta(run_ai, Fraction(1, 2)), 2**11, 60)
 
     def test_quarter_periods_are_exact(self):
         # r/m on a quarter period, in any unreduced form and sign

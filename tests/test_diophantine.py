@@ -4,9 +4,11 @@ product, and the Erdos-Kahane prediction/counting apparatus.
 Oracles: high-precision mpmath recomputation of t*theta^k (independent of
 the exact ring arithmetic under test), integer recurrences for nearest
 integers (Lucas numbers for the golden ratio), and numpy for matrix norms.
-The integer kernels of the window check, the decaying product and the step
-prediction are compared byte for byte (pickles) with the ``Fraction`` and
-per-call matrix loops they replaced, kept below as reference functions.
+The integer kernels of the split, the window check, the decaying product
+and the step prediction are compared byte for byte (pickles) with the
+``Fraction`` and per-call matrix loops they replaced, kept below as
+reference functions: the split with one reduced ``Fraction`` per term and
+its least common denominator, ``Fraction`` prefix sums and window maxima.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from subspectral import diophantine
+from subspectral import algebraic, diophantine
 from subspectral.algebraic import (
     AlgebraicInteger,
     ZThetaElement,
@@ -58,6 +60,8 @@ GOLDEN = (1, -1, -1)  # x^2 - x - 1, golden ratio
 CUBIC = (1, 0, -1, -2)  # x^3 - x - 2, complex pair of modulus > 1
 QUARTIC = (1, 0, 0, -1, -3)  # x^4 - x - 3, all conjugates outside
 ROOTS_2_3 = (1, -5, 6)  # (x - 2)(x - 3): t = 1/2 pins 3^k / 2 at Z + 1/2
+MIXED = (1, -1, -2)  # (x - 2)(x + 1): t = k/4 puts 2t on Z + 1/2, 4t on Z
+LINEAR = (1, -3)  # x - 3: every term has rational coordinates
 DENOM = 100003  # the prime denominator of the benchmark's t values
 RND = libmp.round_nearest
 
@@ -239,6 +243,18 @@ class TestPisotSequence:
         for k in range(20):
             lo, hi = zt_value_interval(seq.eps_num[k], running, 200)
             assert lo - seq.err <= seq.eps[k] <= hi + seq.err
+
+    def test_views_are_built_on_first_read_and_not_pickled(self, running):
+        seq = pisot_sequence(running, Fraction(7, 5), 30)
+        before = pickle.dumps(seq)
+        assert "eps" not in vars(seq) and "eps_num" not in vars(seq)
+        assert seq.eps == tuple(Fraction(n, seq.D) for n in seq.nums)
+        assert seq.eps_num[3] is seq.eps_num[3]
+        assert pickle.dumps(seq) == before
+        copy = pickle.loads(before)
+        assert copy == seq
+        assert (copy.eps, copy.eps_num) == (seq.eps, seq.eps_num)
+        assert len(copy) == 30
 
     def test_err_is_honored(self, golden):
         err = Fraction(1, 2**80)
@@ -656,11 +672,67 @@ def ref_mpf_ratio(q: Fraction) -> tuple:
     )
 
 
-def ref_product_values(seq):
+def ref_certified_split(L, H, qS, err):
+    """(k, eps) as one reduced Fraction, or None: the split of [L/qS, H/qS]."""
+    two_qS = 2 * qS
+    if (2 * L + qS) // two_qS != (2 * H + qS) // two_qS:
+        return None
+    if (H - L) * err.denominator > 2 * err.numerator * qS:
+        return None
+    k = (L + H + qS) // two_qS
+    return k, Fraction(L + H - k * two_qS, two_qS)
+
+
+def ref_fraction_split(ai, t, N, err=Fraction(1, 2**40)):
+    """(K, eps, eps_num, widths) of t theta^k for k < N, with a reduced
+    Fraction per term; widths[k] is the bracket width that certified term
+    k, None for a term with rational coordinates."""
+    err = Fraction(err)
+    x0, q = diophantine._normalize_t(ai, t)
+    s = ai.degree
+    coords = [x0]
+    for _ in range(N - 1):
+        coords.append(zt_mul_theta(coords[-1], ai))
+    maxbit = max(max(abs(c) for c in x.coords).bit_length() for x in coords)
+    err_bits = max(8, (err.denominator // max(err.numerator, 1)).bit_length())
+    width = s * maxbit + q.bit_length() + err_bits + 64
+    K, eps, eps_num, widths = [], [], [], []
+    for x in coords:
+        c0 = x.coords[0]
+        if all(c == 0 for c in x.coords[1:]):
+            k = (2 * c0 + q) // (2 * q)
+            K.append(k)
+            eps.append(Fraction(c0 - k * q, q))
+            eps_num.append(ZThetaElement((c0 - k * q,) + (0,) * (s - 1)))
+            widths.append(None)
+            continue
+        w = width
+        while True:
+            bracket = algebraic._scaled_bracket(*ai.real_bracket(w))
+            L, H, S = algebraic._zt_scaled(x.coords, *bracket)
+            split = ref_certified_split(L, H, q * S, err)
+            if split is not None:
+                K.append(split[0])
+                eps.append(split[1])
+                eps_num.append(ZThetaElement((c0 - split[0] * q,) + x.coords[1:]))
+                widths.append(w)
+                break
+            w *= 2
+    return tuple(K), tuple(eps), tuple(eps_num), tuple(widths)
+
+
+def ref_common_numerators(fracs):
+    """The numerators of ``fracs`` over their least common denominator D,
+    and D."""
+    D = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (D // f.denominator) for f in fracs], D
+
+
+def ref_product_values(eps):
     """(values, value, log_value) of the product by Fraction prefix sums."""
     partial = Fraction(0)
     log_values = []
-    for e in seq.eps:
+    for e in eps:
         partial += e * e
         log_values.append(partial)
     values = tuple(
@@ -705,8 +777,7 @@ def ref_window_escape_check(ai, t, k0=None, k_max=50, diagnostic=False,
         delta1 = Fraction(1, 1 + ai.degree * ai.height)
     err = Fraction(1, 2**60)
     while True:
-        seq = pisot_sequence(ai, t, k_max * beta, err=err)
-        abs_eps = [abs(e) for e in seq.eps]
+        abs_eps = [abs(e) for e in ref_fraction_split(ai, t, k_max * beta, err)[1]]
         verdicts = {}
         for k, (best, arg) in enumerate(ref_window_maxima(abs_eps, beta, k_max), 1):
             if best - err >= delta1:
@@ -776,8 +847,10 @@ def _oracle_inputs():
     oracles: seeded t = k/DENOM in [1, theta] for x^2 - x - 3, the small-t
     branch, ring-element t, t over 7 and 9 (whose sums share an odd factor
     with their denominators), the golden ratio's diagnostic class, a cubic,
-    other errs, and x^2 - 5x + 6 at t = 1/2, whose terms sit on Z + 1/2 and
-    force width doubling."""
+    other errs, x^2 - 5x + 6 at t = 1/2, 3/2, 7/2 and 5/6, whose terms sit
+    on Z + 1/2 and force width doubling, x^2 - x - 2 at t = k/4, where only
+    the term t theta sits on Z + 1/2 (so the eps have denominators at two
+    widths), and x - 3, where every term takes the exact rational branch."""
     rng = random.Random(20131)
     k_hi = (DENOM + math.isqrt(13 * DENOM * DENOM)) // 2
     cases = [(RUNNING, Fraction(rng.randint(DENOM, k_hi), DENOM), 150, {})
@@ -792,8 +865,11 @@ def _oracle_inputs():
     cases += [(CUBIC, Fraction(k, 5), 60, {}) for k in (3, 6, 9)]
     cases += [(RUNNING, Fraction(7, 5), 60, {"err": e})
               for e in (Fraction(1, 3), Fraction(1, 10**6), Fraction(1, 2**400))]
-    cases += [(ROOTS_2_3, Fraction(k, 2), 30, {"diagnostic": True}) for k in (1, 3)]
+    cases += [(ROOTS_2_3, Fraction(k, 2), 30, {"diagnostic": True}) for k in (1, 3, 7)]
     cases += [(ROOTS_2_3, Fraction(5, 6), 30, {"diagnostic": True})]
+    cases += [(MIXED, Fraction(k, 4), 30, {"diagnostic": True}) for k in (5, 7, 13)]
+    cases += [(LINEAR, t, 40, {"diagnostic": True})
+              for t in (Fraction(5, 7), Fraction(11, 5), 4)]
     return cases
 
 
@@ -801,7 +877,35 @@ class TestIntegerKernelOracles:
     @pytest.fixture(scope="class")
     def ais(self):
         return {p: AlgebraicInteger.from_poly(p, 128)
-                for p in (RUNNING, GOLDEN, CUBIC, ROOTS_2_3)}
+                for p in (RUNNING, GOLDEN, CUBIC, ROOTS_2_3, MIXED, LINEAR)}
+
+    def test_split_matches_fraction_split(self, ais):
+        for poly, t, N, kwargs in _oracle_inputs():
+            err = kwargs.get("err", Fraction(1, 2**40))
+            seq = pisot_sequence(ais[poly], t, N, err=err)
+            K, eps, eps_num, _ = ref_fraction_split(ais[poly], t, N, err)
+            assert pickle.dumps((seq.K, seq.eps, seq.eps_num)) == pickle.dumps(
+                (K, eps, eps_num)
+            ), (poly, t, kwargs)
+            # the numerators over D are those over the least common
+            # denominator, scaled by D over it
+            nums, lcd = ref_common_numerators(eps)
+            assert seq.D % lcd == 0
+            assert list(seq.nums) == [n * (seq.D // lcd) for n in nums]
+
+    def test_inputs_mix_denominators_and_take_the_rational_branch(self, ais):
+        cases = _oracle_inputs()
+        for poly, t, N, _ in (c for c in cases if c[0] == MIXED):
+            # the term t theta was retried at twice the width (or more) and
+            # the others were not, so the terms have denominators q and 2qS
+            # at two widths
+            widths = ref_fraction_split(ais[poly], t, N)[3]
+            low, high = sorted({w for w in widths if w is not None})
+            assert widths[1] == high and high % (2 * low) == 0
+        for poly, t, N, _ in (c for c in cases if c[0] == LINEAR):
+            widths = ref_fraction_split(ais[poly], t, N)[3]
+            assert set(widths) == {None}
+            assert pisot_sequence(ais[poly], t, N).D == Fraction(t).denominator
 
     def test_product_matches_fraction_sums(self, ais):
         cases = _oracle_inputs()
@@ -809,9 +913,9 @@ class TestIntegerKernelOracles:
         for poly, t, N, kwargs in cases:
             ai = ais[poly]
             report = prop_alg_product(ai, t, N, **kwargs)
-            seq = pisot_sequence(ai, t, N, err=kwargs.get("err", Fraction(1, 2**40)))
+            eps = ref_fraction_split(ai, t, N, kwargs.get("err", Fraction(1, 2**40)))[1]
             got = pickle.dumps((report.values, report.value, report.log_value))
-            assert got == pickle.dumps(ref_product_values(seq)), (poly, t, kwargs)
+            assert got == pickle.dumps(ref_product_values(eps)), (poly, t, kwargs)
 
     def test_oracle_inputs_tell_the_roundings_apart(self, ais):
         # rounding -P/D^2 in one step, or rounding the unreduced numerator

@@ -45,12 +45,18 @@ MODULES = [
 ]
 
 
+# t -> one pisot sequence that every thread reads
+SHARED_SEQUENCES: dict = {}
+
+
 def cold():
-    """Empty every memo of every module of the package."""
+    """Empty every memo of every module of the package, and the shared
+    sequences."""
     for module in MODULES:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+    SHARED_SEQUENCES.clear()
 
 
 def _roots(p):
@@ -95,6 +101,16 @@ def _erdos(n):
     return [bernoulli.erdos_nondecay(ai, n)]
 
 
+def _pisot_views(t):
+    # ``cold`` empties the store, so under the thread pool the first reads
+    # of the lazy views ``eps`` and ``eps_num`` of one shared sequence race
+    if t not in SHARED_SEQUENCES:
+        ai = AlgebraicInteger.from_poly(POLYS[2], 128)
+        SHARED_SEQUENCES.setdefault(t, diophantine.pisot_sequence(ai, t, 90))
+    seq = SHARED_SEQUENCES[t]
+    return [seq, seq.eps, seq.eps_num]
+
+
 def _perron(M):
     return [substitution.perron_data(M, bits) for bits in (53, 96, 200)]
 
@@ -118,6 +134,7 @@ ITEMS = (
     + [(_erdos_kahane, p) for p in POLYS[:2]]
     + [(_bernoulli_scan, Fraction(k, 11)) for k in (11, 13, 17)]
     + [(_erdos, n) for n in (20, 80, 140)]
+    + [(_pisot_views, Fraction(k, 5)) for k in (6, 9)]
     + [(_perron, M) for M in (((1, 1), (3, 0)), ((1, 1, 1), (1, 0, 0), (0, 1, 0)))]
     + [(_substitution, zeta) for zeta in (RUNNING, TRIBONACCI)]
 )

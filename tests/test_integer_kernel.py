@@ -374,19 +374,27 @@ class TestSplit:
         if tight and width > 0:
             err = Fraction(width, 2 * qS)
         got = _certified_split(L, H, qS, err)
-        assert got == ref_split(Fraction(L, qS), Fraction(H, qS), err)
+        want = ref_split(Fraction(L, qS), Fraction(H, qS), err)
+        if want is None:
+            assert got is None
+        else:
+            # eps comes as an integer numerator over 2 qS
+            k, n = got
+            assert type(n) is int
+            assert (k, Fraction(n, 2 * qS)) == want
 
     def test_boundaries(self):
         err = Fraction(1, 8)
+        # eps numerators are over 2 qS = 32
         # width exactly 2 err is accepted, one unit more is refused
-        assert _certified_split(0, 4, 16, err) == (0, Fraction(1, 8))
+        assert _certified_split(0, 4, 16, err) == (0, Fraction(1, 8) * 32)
         assert _certified_split(0, 5, 16, err) is None
         # an enclosure reaching k + 1/2 from below straddles the tie
         assert _certified_split(7, 8, 16, err) is None
         # ties round up
-        assert _certified_split(8, 8, 16, err) == (1, Fraction(-1, 2))
-        assert _certified_split(-8, -8, 16, err) == (0, Fraction(-1, 2))
-        assert _certified_split(-9, -9, 16, err) == (-1, Fraction(7, 16))
+        assert _certified_split(8, 8, 16, err) == (1, Fraction(-1, 2) * 32)
+        assert _certified_split(-8, -8, 16, err) == (0, Fraction(-1, 2) * 32)
+        assert _certified_split(-9, -9, 16, err) == (-1, Fraction(7, 16) * 32)
 
 
 class TestPisotSequence:
